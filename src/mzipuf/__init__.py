@@ -42,6 +42,7 @@ from .fabrication import (
     load_chip,
     load_device,
     measure,
+    measure_batch,
     preset_by_name,
     save_chip,
     save_device,

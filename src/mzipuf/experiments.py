@@ -26,7 +26,7 @@ from .fabrication import (
     NoiseConfig,
     NoiseStream,
     fabricate_chip,
-    measure,
+    measure_batch,
     preset_by_name,
     shared_mzi_count,
 )
@@ -215,9 +215,12 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     mirrored_pairs = []
     collisions = 0
     uniqueness_sums = {level: 0.0 for level in range(1, config.looseness_max + 1)}
-    for index, challenge in enumerate(challenges):
-        qa = quantize(measure(device_a, challenge, stream_a, index), config.bin_fraction)
-        qb = quantize(measure(device_b, challenge, stream_b, index), config.bin_fraction)
+    indices = np.arange(config.challenge_count)
+    raw_a = measure_batch(device_a, challenges, stream_a, indices)
+    raw_b = measure_batch(device_b, challenges, stream_b, indices)
+    for index, (challenge, ia, ib) in enumerate(zip(challenges, raw_a, raw_b)):
+        qa = quantize(ia, config.bin_fraction)
+        qb = quantize(ib, config.bin_fraction)
         mirrored_pairs.append((qa, qb))
         if qa.bins == qb.bins:
             collisions += 1
@@ -234,16 +237,12 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     # repeat one challenge on both devices; the first repeat is the typical
     # response the others are compared against
-    repeat_challenge = challenges[0]
+    repeat_indices = [config.challenge_count + np.arange(config.repeat_count)]
     intra_rows = []
     repeated_pairs = []
     for label, device, stream in (("A", device_a, stream_a), ("B", device_b, stream_b)):
-        reps = []
-        for k in range(config.repeat_count):
-            index = config.challenge_count + k
-            reps.append(
-                quantize(measure(device, repeat_challenge, stream, index), config.bin_fraction)
-            )
+        raws = measure_batch(device, challenges[:1], stream, repeat_indices)[0]
+        reps = [quantize(raw, config.bin_fraction) for raw in raws]
         reference = reps[0]
         for k, rep in enumerate(reps[1:], start=1):
             repeated_pairs.append((reference, rep))

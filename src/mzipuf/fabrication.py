@@ -20,16 +20,31 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .mesh import TWO_PI, CouplerPair, MeshLayout, MziSettings, build_mesh, propagate
+from .mesh import (
+    TWO_PI,
+    CouplerArrays,
+    CouplerPair,
+    MeshLayout,
+    MziSettings,
+    build_mesh,
+    propagate,
+)
 
 V2PI_NOMINAL = 7.0
 HEATER_SIGMA = 0.1543
 COUPLER_SIGMA = 0.02
 GROUND_LOOP_DB = -45.0
 GROUND_LOOP_SCALE = 10.0 ** (GROUND_LOOP_DB / 20.0)
+
+# challenges propagated together by measure_batch.  The kernel's largest
+# temporaries are (block, MZIs, 2, 2) complex unitaries and a (block, MZIs,
+# 16) coefficient tensor; at 32 they stay under 1 MB on the 66-MZI mesh,
+# while larger blocks no longer run faster.
+MEASURE_BLOCK = 32
 
 CHIP_FORMAT = "mzipuf-chip/1"
 DEVICE_FORMAT = "mzipuf-device/1"
@@ -196,6 +211,36 @@ def load_chip(path) -> ChipFingerprint:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SlotArrays:
+    """Struct-of-arrays form of a carved device, in slot order.
+
+    leakage holds the ground-loop couplings as rounds of (targets, sources,
+    coefficients) index arrays: round r adds each slot's r-th coupling, in
+    the order effective_voltages' loop would add it, so a slot's sum is
+    accumulated in the same order.  No slot appears twice in one round.
+    """
+
+    v2pi: np.ndarray
+    phase_offset: np.ndarray
+    couplers: CouplerArrays
+    leakage: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _leakage_rounds(local_ground_loops) -> tuple:
+    terms: dict[int, list[tuple[int, float]]] = {}
+    for sa, sb, c in local_ground_loops:
+        terms.setdefault(sa, []).append((sb, c))
+        terms.setdefault(sb, []).append((sa, c))
+    rounds = []
+    for r in range(max(map(len, terms.values()), default=0)):
+        entries = [(slot, *slot_terms[r]) for slot, slot_terms in terms.items()
+                   if len(slot_terms) > r]
+        targets, sources, coefficients = zip(*entries)
+        rounds.append((np.array(targets), np.array(sources), np.array(coefficients)))
+    return tuple(rounds)
+
+
 @dataclass(frozen=True)
 class DeviceInstance:
     """One carved mesh: a layout plus the chip sites its slots map onto.
@@ -216,6 +261,17 @@ class DeviceInstance:
 
     def slot_couplers(self) -> tuple[CouplerPair, ...]:
         return tuple(self.chip.couplers[g] for g in self.slot_to_global)
+
+    @cached_property
+    def arrays(self) -> SlotArrays:
+        """Heater, coupler and leakage parameters as arrays, built on first use."""
+        heaters = [self.heater(slot) for slot in range(self.layout.mzi_count)]
+        return SlotArrays(
+            v2pi=np.array([h.v2pi for h in heaters]),
+            phase_offset=np.array([h.phase_offset for h in heaters]),
+            couplers=CouplerArrays.from_pairs(self.slot_couplers()),
+            leakage=_leakage_rounds(self.local_ground_loops),
+        )
 
     def descriptor_digest(self) -> str:
         payload = json.dumps(
@@ -347,17 +403,32 @@ class Challenge:
         return cls(levels=tuple(levels), bits=bits, v2pi_nominal=v2pi_nominal)
 
 
+def _drive_voltages(challenges) -> np.ndarray:
+    """Drive voltages of a Challenge or a bare voltage vector (shape (MZIs,)),
+    or of a sequence of Challenges or a voltage matrix (shape (N, MZIs))."""
+    if isinstance(challenges, Challenge):
+        return challenges.voltages
+    if not isinstance(challenges, np.ndarray) and isinstance(challenges[0], Challenge):
+        levels = np.array([c.levels for c in challenges], dtype=float)
+        steps = np.array([c.v2pi_nominal / float(2**c.bits) for c in challenges])
+        return levels * steps[:, None]
+    return np.asarray(challenges, dtype=float)
+
+
 def effective_voltages(device: DeviceInstance, voltages) -> np.ndarray:
-    """Applied voltages plus ground-loop leakage from in-device neighbours."""
+    """Applied voltages plus ground-loop leakage from in-device neighbours.
+
+    voltages has shape (MZIs,) or (N, MZIs).
+    """
     v = np.asarray(voltages, dtype=float)
-    if v.shape != (device.layout.mzi_count,):
+    if v.ndim not in (1, 2) or v.shape[-1] != device.layout.mzi_count:
         raise ValueError(
             f"expected {device.layout.mzi_count} voltages, got shape {v.shape}"
         )
     v_eff = v.copy()
-    for sa, sb, c in device.local_ground_loops:
-        v_eff[sa] += c * v[sb]
-        v_eff[sb] += c * v[sa]
+    # in rounds, so each slot adds its neighbours' leakage in adjacency order
+    for targets, sources, coefficients in device.arrays.leakage:
+        v_eff[..., targets] += coefficients * v[..., sources]
     return v_eff
 
 
@@ -365,17 +436,21 @@ def voltages_to_phases(device: DeviceInstance, challenge):
     """Map drive voltages to per-slot MZI settings via the thermo-optic law.
 
     theta_slot = (phase_offset + 2 pi (V_eff / V_2pi)^2) mod 2 pi, with
-    V_eff including ground-loop leakage.  Accepts a Challenge or a bare
-    voltage vector (the latter is handy for probing the law off-grid).
+    V_eff including ground-loop leakage.  A single Challenge or bare
+    voltage vector (handy for probing the law off-grid) gives a list of
+    MziSettings.  A batch, a sequence of Challenges or an (N, MZIs) voltage
+    matrix, gives the (N, MZIs) matrix of theta, with phi 0.
     """
-    volts = getattr(challenge, "voltages", challenge)
-    v_eff = effective_voltages(device, volts)
-    settings = []
-    for slot, v in enumerate(v_eff):
-        h = device.heater(slot)
-        theta = (h.phase_offset + TWO_PI * (v / h.v2pi) ** 2) % TWO_PI
-        settings.append(MziSettings(theta=theta))
-    return settings
+    v_eff = effective_voltages(device, _drive_voltages(challenge))
+    arrays = device.arrays
+    # float_power calls libm pow per entry, as ** does on a numpy scalar;
+    # an array ** 2 computes x * x instead, which rounds differently
+    theta = np.remainder(
+        arrays.phase_offset + TWO_PI * np.float_power(v_eff / arrays.v2pi, 2.0), TWO_PI
+    )
+    if theta.ndim == 1:
+        return [MziSettings(theta=t) for t in theta]
+    return theta
 
 
 @dataclass(frozen=True)
@@ -473,6 +548,66 @@ class RawResponse:
     measurement_index: int = 0
 
 
+def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -> np.ndarray:
+    """Mean of the configured snapshots of an ideal intensity vector.
+
+    Each snapshot is clip(drift * (1 + jitter) * ideal + detector, 0),
+    computed in place in that operation order.
+    """
+    cfg = noise.config
+    rng = noise.measurement_rng(measurement_index)
+    drift = noise.drift_factors(measurement_index)
+    shape = (cfg.samples_per_response, noise.mode_count)
+    snapshots = rng.normal(0.0, cfg.coupling_jitter_sigma, shape)
+    detector = rng.normal(0.0, cfg.detector_sigma, shape)
+    snapshots += 1.0
+    np.multiply(drift, snapshots, out=snapshots)
+    snapshots *= ideal
+    snapshots += detector
+    np.clip(snapshots, 0.0, None, out=snapshots)
+    return snapshots.mean(axis=0)
+
+
+def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None, indices):
+    """Averaged output power of many measurements.
+
+    challenges is a sequence of N Challenges or voltage vectors, and
+    indices has shape (N,) or (N, R): challenge i is measured at every
+    measurement index of row i.  Returns intensities of shape
+    indices.shape + (modes,), where entry [i] (or [i, r]) equals
+    measure(device, challenges[i], noise, index).intensities bit for bit.
+
+    Challenges are propagated MEASURE_BLOCK at a time, and a challenge
+    measured at R indices is propagated once.  Noise is applied per index
+    from that index's own substream, as measure does.
+    """
+    indices = np.asarray(indices)
+    modes = device.layout.mode_count
+    noisy = noise is not None and noise.config.enabled
+    if noisy and noise.mode_count != modes:
+        raise ValueError(
+            f"noise stream built for {noise.mode_count} modes, device has {modes}"
+        )
+    if indices.ndim not in (1, 2) or len(indices) != len(challenges):
+        raise ValueError(
+            f"{len(challenges)} challenges need indices of shape (N,) or (N, R) "
+            f"with N = {len(challenges)}, got shape {indices.shape}"
+        )
+    rows = indices.reshape(len(indices), -1)
+    out = np.empty(rows.shape + (modes,))
+    for start in range(0, len(rows), MEASURE_BLOCK):
+        stop = start + MEASURE_BLOCK
+        thetas = voltages_to_phases(device, challenges[start:stop])
+        ideal = propagate(device.layout, thetas, device.arrays.couplers)
+        if not noisy:
+            out[start:stop] = ideal[:, None, :]
+            continue
+        for i, row in enumerate(ideal, start):
+            for r, index in enumerate(rows[i]):
+                out[i, r] = _noisy_mean(row, noise, int(index))
+    return out.reshape(indices.shape + (modes,))
+
+
 def measure(
     device: DeviceInstance,
     challenge,
@@ -483,32 +618,13 @@ def measure(
 
     With noise=None (or a stream whose config is disabled) this returns the
     ideal propagation result.  Otherwise each of the configured snapshots
-    sees drift, jitter, and detector noise before averaging.
+    sees drift, jitter, and detector noise before averaging.  This is the
+    one-challenge case of measure_batch.
     """
-    settings = voltages_to_phases(device, challenge)
-    ideal = propagate(device.layout, settings, device.slot_couplers())
-    if noise is None or not noise.config.enabled:
-        return RawResponse(
-            intensities=ideal,
-            total_power=float(ideal.sum()),
-            measurement_index=measurement_index,
-        )
-    if noise.mode_count != device.layout.mode_count:
-        raise ValueError(
-            f"noise stream built for {noise.mode_count} modes, device has "
-            f"{device.layout.mode_count}"
-        )
-    cfg = noise.config
-    rng = noise.measurement_rng(measurement_index)
-    drift = noise.drift_factors(measurement_index)
-    shape = (cfg.samples_per_response, noise.mode_count)
-    jitter = rng.normal(0.0, cfg.coupling_jitter_sigma, shape)
-    detector = rng.normal(0.0, cfg.detector_sigma, shape)
-    snapshots = np.clip(drift * (1.0 + jitter) * ideal + detector, 0.0, None)
-    mean = snapshots.mean(axis=0)
+    intensities = measure_batch(device, [challenge], noise, [measurement_index])[0]
     return RawResponse(
-        intensities=mean,
-        total_power=float(mean.sum()),
+        intensities=intensities,
+        total_power=float(intensities.sum()),
         measurement_index=measurement_index,
     )
 

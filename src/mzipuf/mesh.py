@@ -150,6 +150,18 @@ class MeshLayout:
         # The single illuminated input of the pyramid.
         return self.columns - 1
 
+    def column_spans(self):
+        """Per column, left to right: (slot slice, mode slice).
+
+        Device i of column c (1-based) couples modes (top, top + 1) with
+        top = 2i + columns - c, as in mode_pairs, so the column's devices
+        cover the consecutive modes of its mode slice pair by pair.
+        """
+        first_slot = 0
+        for c in range(1, self.columns + 1):
+            yield slice(first_slot, first_slot + c), slice(self.columns - c, self.columns + c)
+            first_slot += c
+
     def column_of(self, index: int) -> int:
         """1-based column containing the MZI at the given column-major index."""
         c = 1
@@ -166,12 +178,114 @@ def build_mesh(columns: int) -> MeshLayout:
     return MeshLayout(columns=columns, mode_pairs=_pyramid_mode_pairs(columns))
 
 
-def _check_programming(layout: MeshLayout, settings, couplers) -> None:
-    if len(settings) != layout.mzi_count or len(couplers) != layout.mzi_count:
+def _phase_matrices(angles: np.ndarray) -> np.ndarray:
+    """Stacked diag(e^{j angle}, 1), built entry for entry as mzi_unitary does."""
+    out = np.zeros(angles.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(1j * angles)
+    out[..., 1, 1] = 1.0
+    return out
+
+
+def _coupler_matrices(etas: np.ndarray) -> np.ndarray:
+    """coupler_matrix over an array of ratios: shape etas.shape + (2, 2).
+
+    Each entry equals the scalar coupler_matrix bit for bit: sqrt is
+    correctly rounded, and the cross term j sqrt(eta) has real part +0.0.
+    """
+    t = np.sqrt(1.0 - etas)
+    out = np.zeros(etas.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = t
+    out[..., 1, 1] = t
+    out.imag[..., 0, 1] = np.sqrt(etas)
+    out.imag[..., 1, 0] = out.imag[..., 0, 1]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class CouplerArrays:
+    """Coupler transfer matrices of every MZI of a mesh, stacked (MZIs, 2, 2).
+
+    outer_second is diag(e^{j0}, 1) @ B(eta2), the left product of every
+    unitary whose outer phase phi is 0, which is every unitary the phase
+    map programs; it is computed once per mesh.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    outer_second: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, couplers) -> "CouplerArrays":
+        etas = np.array([(cp.eta1, cp.eta2) for cp in couplers], dtype=float)
+        second = _coupler_matrices(etas[:, 1])
+        outer = np.matmul(_phase_matrices(np.zeros(len(etas))), second)
+        return cls(first=_coupler_matrices(etas[:, 0]), second=second, outer_second=outer)
+
+
+def _stacked_unitaries(theta: np.ndarray, couplers: CouplerArrays, phi) -> np.ndarray:
+    """mzi_unitary for theta of shape (..., MZIs): shape (..., MZIs, 2, 2).
+
+    Bit identity with mzi_unitary: every product is a stacked np.matmul on
+    C-contiguous (..., 2, 2) operands, which sends each item through the
+    same 2x2 zgemm call as a single product, in the same association order
+    ((P_outer @ B2) @ P_inner) @ B1.
+    """
+    if phi is None:
+        left = couplers.outer_second
+    else:
+        left = np.matmul(_phase_matrices(phi), couplers.second)
+    return np.matmul(np.matmul(left, _phase_matrices(theta)), couplers.first)
+
+
+def _sweep(layout: MeshLayout, unitaries: np.ndarray, amps: np.ndarray) -> None:
+    """Apply every MZI to a batch of field amplitudes (B, modes), column by column, in place.
+
+    unitaries is (B or 1, MZIs, 2, 2).  The MZIs of one column couple
+    disjoint mode pairs, so a column updates all its pairs, for every field
+    of the batch, at once.
+
+    The complex arithmetic is spelled out on real and imaginary parts, as
+    numpy's scalar complex multiply computes it, because the vectorized
+    complex multiply may round differently: entry (row, re|im) of a column's
+    output is (p0 + p1) + (q0 + q1), where p is the product of unitary entry
+    (row, 0) with the top amplitude, q that of entry (row, 1) with the bottom
+    one, and the two terms of a real part are ur*ar and (-ui)*ai, of an
+    imaginary part ui*ar and ur*ai.  Negation and swapping the terms of a
+    sum are exact.
+    """
+    ur, ui = unitaries.real, unitaries.imag
+    # coefficients[b, k, row, re|im, term, 0|1] multiply (ar, ai) of the term
+    coefficients = np.empty(unitaries.shape[:3] + (2, 2, 2))
+    coefficients[:, :, :, 0, :, 0] = ur
+    np.negative(ui, out=coefficients[:, :, :, 0, :, 1])
+    coefficients[:, :, :, 1, :, 0] = ui
+    coefficients[:, :, :, 1, :, 1] = ur
+    # pairs[b, mode, re|im]
+    pairs = amps.view(np.float64).reshape(len(amps), -1, 2)
+    for slots, modes in layout.column_spans():
+        # [b, k, top|bottom, re|im]: a view into amps
+        column = pairs[:, modes].reshape(len(amps), -1, 2, 2)
+        products = coefficients[:, slots] * column[:, :, None, None]
+        terms = products[..., 0] + products[..., 1]
+        column[...] = terms[..., 0] + terms[..., 1]
+
+
+def _programmed_unitaries(layout: MeshLayout, settings, couplers) -> np.ndarray:
+    """Stacked unitaries of the object form or the array form of a programming."""
+    if not isinstance(couplers, CouplerArrays):
+        couplers = CouplerArrays.from_pairs(couplers)
+    phi = None
+    if not isinstance(settings, np.ndarray):
+        settings = list(settings)
+        phi = np.array([s.phi for s in settings], dtype=float)
+        settings = np.array([s.theta for s in settings], dtype=float)
+    mzis = layout.mzi_count
+    if settings.shape[-1:] != (mzis,) or len(couplers.first) != mzis:
         raise ValueError(
-            f"mesh with {layout.mzi_count} MZIs got {len(settings)} settings "
-            f"and {len(couplers)} coupler pairs"
+            f"mesh with {mzis} MZIs got settings of shape {settings.shape} "
+            f"and {len(couplers.first)} coupler pairs"
         )
+    return _stacked_unitaries(settings, couplers, phi)
 
 
 def mesh_transfer_matrix(layout: MeshLayout, settings, couplers) -> np.ndarray:
@@ -179,32 +293,29 @@ def mesh_transfer_matrix(layout: MeshLayout, settings, couplers) -> np.ndarray:
 
     settings and couplers are sequences in the layout's column-major MZI
     order.  The result is (2C x 2C) and unitary because every constituent
-    block is.
+    block is: column j is the propagation of unit field on mode j.
     """
-    _check_programming(layout, settings, couplers)
-    n = layout.mode_count
-    transfer = np.eye(n, dtype=complex)
-    for (top, bottom), s, cp in zip(layout.mode_pairs, settings, couplers):
-        block = mzi_unitary(s, cp)
-        # Left-multiply by the embedded 2x2 block; only two rows change.
-        rows = transfer[[top, bottom], :]
-        transfer[[top, bottom], :] = block @ rows
-    return transfer
+    unitaries = _programmed_unitaries(layout, settings, couplers)
+    amps = np.eye(layout.mode_count, dtype=complex)
+    _sweep(layout, unitaries[None], amps)
+    return amps.T
 
 
 def propagate(layout: MeshLayout, settings, couplers) -> np.ndarray:
     """Output intensity distribution for unit power on the mesh input mode.
 
-    Applies each MZI block to the evolving field vector instead of forming
-    the full matrix, which is what measurement paths use.  Returns a length
-    2C vector of non-negative intensities summing to 1 (lossless model).
+    Object form: settings is a sequence of MziSettings and couplers a
+    sequence of CouplerPair, in column-major MZI order; the result is a
+    length 2C vector.  Array form: settings is an array of inner phases
+    theta of shape (..., MZIs), with outer phases 0 (what the phase map
+    programs), and couplers may be a CouplerArrays; the result has shape
+    (..., 2C).  Either way the intensities are non-negative, sum to 1
+    (lossless model) and equal the per-MZI product bit for bit.
     """
-    _check_programming(layout, settings, couplers)
-    field_vec = np.zeros(layout.mode_count, dtype=complex)
-    field_vec[layout.input_mode] = 1.0
-    for (top, bottom), s, cp in zip(layout.mode_pairs, settings, couplers):
-        block = mzi_unitary(s, cp)
-        a, b = field_vec[top], field_vec[bottom]
-        field_vec[top] = block[0, 0] * a + block[0, 1] * b
-        field_vec[bottom] = block[1, 0] * a + block[1, 1] * b
-    return np.abs(field_vec) ** 2
+    unitaries = _programmed_unitaries(layout, settings, couplers)
+    lead = unitaries.shape[:-3]
+    unitaries = unitaries.reshape((-1,) + unitaries.shape[-3:])
+    amps = np.zeros((len(unitaries), layout.mode_count), dtype=complex)
+    amps[:, layout.input_mode] = 1.0
+    _sweep(layout, unitaries, amps)
+    return (np.abs(amps) ** 2).reshape(lead + (layout.mode_count,))

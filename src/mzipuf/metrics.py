@@ -60,6 +60,8 @@ def quantize(raw, bin_fraction: float = DEFAULT_BIN_FRACTION) -> QuantizedRespon
     intensities = np.asarray(getattr(raw, "intensities", raw), dtype=float)
     if intensities.ndim != 1 or intensities.size == 0:
         raise ValueError("expected a non-empty 1-D intensity vector")
+    if not np.isfinite(intensities).all():
+        raise ValueError("intensities must be finite")
     if not 0.0 < bin_fraction <= 1.0:
         raise ValueError(f"bin_fraction must lie in (0, 1], got {bin_fraction}")
     if np.any(intensities < 0.0):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fabrication import Challenge, DeviceInstance, NoiseConfig, NoiseStream, measure
+from .fabrication import Challenge, DeviceInstance, NoiseConfig, NoiseStream, measure_batch
 from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
@@ -264,14 +264,13 @@ def enroll(
     if noise_config.enabled:
         stream = NoiseStream((int(rng_seed), 11), device.layout.mode_count, noise_config)
     db = CrpDatabase(device_digest=device.descriptor_digest(), bin_fraction=bin_fraction)
-    index = 0
-    for cid in range(challenge_count):
-        challenge = Challenge.random(challenge_rng, device.layout.mzi_count)
-        raws = []
-        for _ in range(repeats_per_challenge):
-            raws.append(measure(device, challenge, stream, measurement_index=index))
-            index += 1
-        mean_intensities = np.mean([raw.intensities for raw in raws], axis=0)
+    challenges = [
+        Challenge.random(challenge_rng, device.layout.mzi_count) for _ in range(challenge_count)
+    ]
+    indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
+    measured = measure_batch(device, challenges, stream, indices)
+    for cid, (challenge, raws) in enumerate(zip(challenges, measured)):
+        mean_intensities = np.mean(raws, axis=0)
         reference = quantize(mean_intensities, bin_fraction)
         repeat_responses = [quantize(raw, bin_fraction) for raw in raws]
         spreads = [euclidean_distance(reference, rep) for rep in repeat_responses]

@@ -299,3 +299,9 @@ def test_write_stats_json(tmp_path):
     write_stats_json(stats, path)
     with open(path) as handle:
         assert DistanceStats.from_dict(json.load(handle)) == stats
+
+
+def test_quantize_rejects_non_finite_input():
+    for bad in ([0.5, np.nan], [np.inf, 0.5], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            quantize(bad)
