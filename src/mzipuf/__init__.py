@@ -22,9 +22,7 @@ from .experiments import (
     ExperimentReport,
     emit_artifacts,
     large_pair_config,
-    run_large_pair,
     run_pair_experiment,
-    run_small_pair,
     small_pair_config,
 )
 from .fabrication import (

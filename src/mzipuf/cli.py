@@ -66,10 +66,6 @@ def _cmd_count_crps(args) -> int:
     return 0
 
 
-def _load_db_pair(args):
-    return protocol.CrpDatabase.load(args.db)
-
-
 def _cmd_enroll(args) -> int:
     chip = fabrication.load_chip(args.chip)
     device = fabrication.load_device(args.device, chip)
@@ -91,7 +87,7 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_issue(args) -> int:
-    db = _load_db_pair(args)
+    db = protocol.CrpDatabase.load(args.db)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     record = protocol.issue_challenge(db, rng)
     db.save(args.db)
@@ -104,16 +100,16 @@ def _cmd_issue(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    db = _load_db_pair(args)
+    db = protocol.CrpDatabase.load(args.db)
     bins = tuple(int(b) for b in args.bins.split(","))
     response = QuantizedResponse(bins=bins, bin_fraction=db.bin_fraction)
-    policy = None
-    if args.l2_threshold is not None or args.lhd_threshold is not None:
-        policy = protocol.VerifyPolicy(
-            looseness=args.looseness,
-            lhd_threshold=args.lhd_threshold or 0,
-            l2_threshold=args.l2_threshold or 0.0,
-        )
+    # each flag overrides one field of the database policy (or the strict default)
+    given = {
+        name: getattr(args, name)
+        for name in ("looseness", "lhd_threshold", "l2_threshold")
+        if getattr(args, name) is not None
+    }
+    policy = dataclasses_replace(db.policy or protocol.VerifyPolicy(), **given)
     decision = protocol.verify(db, args.challenge_id, response, policy)
     print(json.dumps({
         "challenge_id": decision.challenge_id,
@@ -125,7 +121,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    db = _load_db_pair(args)
+    db = protocol.CrpDatabase.load(args.db)
     report = protocol.audit_collisions(db)
     print(json.dumps({
         "record_count": len(db),
@@ -241,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--challenge-id", type=int, required=True)
     p.add_argument("--bins", required=True, help="comma-separated bin values")
-    p.add_argument("--looseness", type=int, default=2)
+    p.add_argument("--looseness", type=int)
     p.add_argument("--lhd-threshold", type=int)
     p.add_argument("--l2-threshold", type=float)
     p.set_defaults(func=_cmd_verify)

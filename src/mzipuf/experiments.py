@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     LoosenessSweep,
+    _pair_differences,
+    _row_l2,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,
@@ -77,50 +79,35 @@ class ExperimentConfig:
             raise ValueError("looseness_max must cover headline_looseness")
 
     def as_dict(self) -> dict:
-        return {
-            "format": CONFIG_FORMAT,
-            "preset": self.preset,
-            "chip_seeds": list(self.chip_seeds),
-            "challenge_count": self.challenge_count,
-            "repeat_count": self.repeat_count,
-            "seed": self.seed,
-            "noise": {
-                "enabled": self.noise.enabled,
-                "detector_sigma": self.noise.detector_sigma,
-                "coupling_jitter_sigma": self.noise.coupling_jitter_sigma,
-                "coupling_drift_step": self.noise.coupling_drift_step,
-                "coupling_drift_bound": self.noise.coupling_drift_bound,
-                "samples_per_response": self.noise.samples_per_response,
-            },
-            "bin_fraction": self.bin_fraction,
-            "looseness_max": self.looseness_max,
-            "headline_looseness": self.headline_looseness,
-            "clone_devices": self.clone_devices,
-        }
+        payload = asdict(self)
+        del payload["output_dir"]
+        payload["chip_seeds"] = list(self.chip_seeds)
+        return {"format": CONFIG_FORMAT, **payload}
+
+
+def _coerced_fields(cls, payload: dict) -> dict:
+    """Fields of dataclass cls given in payload, each cast to its default's type.
+
+    A field whose default is None (output_dir) is never read from a file.
+    """
+    values = {}
+    for item in fields(cls):
+        if item.name in payload and item.default is not None:
+            kind, value = type(item.default), payload[item.name]
+            values[item.name] = (
+                kind(**_coerced_fields(kind, value)) if is_dataclass(kind) else kind(value)
+            )
+    return values
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    """Rebuild a config from its as_dict form (CLI --config files)."""
-    noise = payload.get("noise", {})
-    return ExperimentConfig(
-        preset=payload["preset"],
-        chip_seeds=tuple(payload.get("chip_seeds", (1234,))),
-        challenge_count=int(payload.get("challenge_count", 2000)),
-        repeat_count=int(payload.get("repeat_count", 500)),
-        seed=int(payload.get("seed", 99)),
-        noise=NoiseConfig(
-            enabled=bool(noise.get("enabled", True)),
-            detector_sigma=float(noise.get("detector_sigma", 1e-5)),
-            coupling_jitter_sigma=float(noise.get("coupling_jitter_sigma", 0.14)),
-            coupling_drift_step=float(noise.get("coupling_drift_step", 0.005)),
-            coupling_drift_bound=float(noise.get("coupling_drift_bound", 0.05)),
-            samples_per_response=int(noise.get("samples_per_response", 1000)),
-        ),
-        bin_fraction=float(payload.get("bin_fraction", DEFAULT_BIN_FRACTION)),
-        looseness_max=int(payload.get("looseness_max", 10)),
-        headline_looseness=int(payload.get("headline_looseness", 2)),
-        clone_devices=bool(payload.get("clone_devices", False)),
-    )
+    """Rebuild a config from its as_dict form (CLI --config files).
+
+    preset is required; every other missing field keeps its default.
+    """
+    if "preset" not in payload:
+        raise ValueError("experiment config names no preset")
+    return ExperimentConfig(**_coerced_fields(ExperimentConfig, payload))
 
 
 def small_pair_config(**overrides) -> ExperimentConfig:
@@ -209,42 +196,41 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         for _ in range(config.challenge_count)
     ]
 
-    headline = config.headline_looseness
-    mode_total = modes
-    inter_rows = []
-    mirrored_pairs = []
-    collisions = 0
-    uniqueness_sums = {level: 0.0 for level in range(1, config.looseness_max + 1)}
-    indices = np.arange(config.challenge_count)
-    raw_a = measure_batch(device_a, challenges, stream_a, indices)
-    raw_b = measure_batch(device_b, challenges, stream_b, indices)
-    for index, (challenge, ia, ib) in enumerate(zip(challenges, raw_a, raw_b)):
-        qa = quantize(ia, config.bin_fraction)
-        qb = quantize(ib, config.bin_fraction)
-        mirrored_pairs.append((qa, qb))
-        if qa.bins == qb.bins:
-            collisions += 1
-        diff = np.abs(np.asarray(qa.bins) - np.asarray(qb.bins))
-        for level in uniqueness_sums:
-            uniqueness_sums[level] += int(np.count_nonzero(diff >= level)) / mode_total
-        lhd = int(np.count_nonzero(diff >= headline))
-        inter_rows.append((index, challenge.digest(), lhd, euclidean_distance(qa, qb)))
+    def responses(device, stream, batch, indices):
+        return [
+            quantize(raw, config.bin_fraction)
+            for raw in measure_batch(device, batch, stream, indices).reshape(-1, modes)
+        ]
 
-    uniqueness_by_l = {
-        level: total / config.challenge_count * 100.0
-        for level, total in uniqueness_sums.items()
-    }
+    # one |diff| row per mirrored pair: row i compares A and B on challenge i
+    count = config.challenge_count
+    headline = config.headline_looseness
+    levels = range(1, config.looseness_max + 1)
+    indices = np.arange(count)
+    mirrored_pairs = list(zip(
+        responses(device_a, stream_a, challenges, indices),
+        responses(device_b, stream_b, challenges, indices),
+    ))
+    inter, inter_counts = _pair_differences(*zip(*mirrored_pairs), levels)
+    inter_rows = tuple(zip(
+        indices.tolist(),
+        [challenge.digest() for challenge in challenges],
+        inter_counts[:, headline - 1].tolist(),
+        _row_l2(inter).tolist(),
+    ))
+    # a running sum in challenge order: numpy's pairwise sum could change the
+    # last bits of the artifacts
+    shares = np.cumsum(inter_counts / modes, axis=0)[-1].tolist()
+    uniqueness_by_l = {level: total / count * 100.0 for level, total in zip(levels, shares)}
 
     # repeat one challenge on both devices; the first repeat is the typical
     # response the others are compared against
-    repeat_indices = [config.challenge_count + np.arange(config.repeat_count)]
+    repeat_indices = [count + np.arange(config.repeat_count)]
     intra_rows = []
     repeated_pairs = []
     for label, device, stream in (("A", device_a, stream_a), ("B", device_b, stream_b)):
-        raws = measure_batch(device, challenges[:1], stream, repeat_indices)[0]
-        reps = [quantize(raw, config.bin_fraction) for raw in raws]
-        reference = reps[0]
-        for k, rep in enumerate(reps[1:], start=1):
+        reference, *reps = responses(device, stream, challenges[:1], repeat_indices)
+        for k, rep in enumerate(reps, start=1):
             repeated_pairs.append((reference, rep))
             intra_rows.append(
                 (
@@ -266,7 +252,7 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         config=config,
         device_digests=(device_a.descriptor_digest(), device_b.descriptor_digest()),
         shared_mzis=shared_mzi_count(device_a, device_b),
-        collision_count=collisions,
+        collision_count=int(np.count_nonzero(~inter.any(axis=1))),
         uniqueness_by_looseness=uniqueness_by_l,
         inter_lhd=inter_lhd,
         inter_l2=inter_l2,
@@ -274,7 +260,7 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         intra_l2=intra_l2,
         separation_sigma=separation,
         challenge_set_digest=_digest_of_digests(row[1] for row in inter_rows),
-        inter_rows=tuple(inter_rows),
+        inter_rows=inter_rows,
         intra_rows=tuple(intra_rows),
     )
 
@@ -288,14 +274,6 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.output_dir is not None:
         emit_artifacts(report, config.output_dir)
     return report
-
-
-def run_small_pair(config: ExperimentConfig | None = None, **overrides) -> ExperimentReport:
-    return run_pair_experiment(config if config is not None else small_pair_config(**overrides))
-
-
-def run_large_pair(config: ExperimentConfig | None = None, **overrides) -> ExperimentReport:
-    return run_pair_experiment(config if config is not None else large_pair_config(**overrides))
 
 
 def _digest_of_digests(digests) -> str:

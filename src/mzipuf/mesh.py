@@ -162,14 +162,6 @@ class MeshLayout:
             yield slice(first_slot, first_slot + c), slice(self.columns - c, self.columns + c)
             first_slot += c
 
-    def column_of(self, index: int) -> int:
-        """1-based column containing the MZI at the given column-major index."""
-        c = 1
-        while index >= c:
-            index -= c
-            c += 1
-        return c
-
 
 def build_mesh(columns: int) -> MeshLayout:
     """Construct the layout of a pyramid mesh with the given column count."""

@@ -8,8 +8,6 @@ a looseness threshold) and the plain Euclidean distance on bin vectors.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -83,16 +81,52 @@ def _check_comparable(a: QuantizedResponse, b: QuantizedResponse) -> None:
         )
 
 
+def _check_looseness(looseness) -> None:
+    if not isinstance(looseness, (int, np.integer)) or isinstance(looseness, bool):
+        raise ValueError(f"looseness must be an integer >= 1, got {looseness!r}")
+    if looseness < 1:
+        raise ValueError(f"looseness must be >= 1, got {looseness}")
+
+
+def _stacked_bins(responses) -> np.ndarray:
+    """(n, modes) bin matrix of responses comparable with the first one."""
+    for other in responses[1:]:
+        _check_comparable(responses[0], other)
+    return np.array([r.bins for r in responses]).reshape(len(responses), -1)
+
+
+def _pair_differences(left, right, levels=()):
+    """Absolute bin differences of aligned response pairs, with LHD counts.
+
+    Row p compares left[p] with right[p].  Each pair must be comparable, and
+    all responses on one side must share one length and bin fraction.
+    Returns the (P, modes) integer matrix |bins_left - bins_right| and the
+    (P, len(levels)) matrix whose column k holds each row's loose Hamming
+    distance at looseness levels[k].
+    """
+    left, right = list(left), list(right)
+    for a, b in zip(left, right):
+        _check_comparable(a, b)
+    diff = np.abs(_stacked_bins(left) - _stacked_bins(right))
+    return diff, (diff[:, :, None] >= np.asarray(levels, dtype=int)).sum(axis=1)
+
+
+def _row_l2(diff) -> np.ndarray:
+    """Euclidean length of each row of an integer difference matrix.
+
+    Exact: the integer sums of squares stay far below 2**53, so the result
+    equals euclidean_distance whatever the summation order.
+    """
+    return np.sqrt(np.square(diff, dtype=float).sum(axis=1))
+
+
 def loose_hamming_distance(a: QuantizedResponse, b: QuantizedResponse, looseness: int) -> int:
     """Count coordinates whose bins differ by at least ``looseness``.
 
     looseness L = 1 is the ordinary Hamming distance on bin vectors; larger
     L forgives small bin wobble from measurement noise.
     """
-    if not isinstance(looseness, (int, np.integer)) or isinstance(looseness, bool):
-        raise ValueError(f"looseness must be an integer >= 1, got {looseness!r}")
-    if looseness < 1:
-        raise ValueError(f"looseness must be >= 1, got {looseness}")
+    _check_looseness(looseness)
     _check_comparable(a, b)
     diff = np.abs(np.asarray(a.bins) - np.asarray(b.bins))
     return int(np.count_nonzero(diff >= looseness))
@@ -116,12 +150,14 @@ def uniqueness(responses, looseness: int = 2) -> float:
     n = len(responses)
     if n < 2:
         raise ValueError(f"uniqueness needs at least 2 responses, got {n}")
-    m = len(responses[0].bins)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += loose_hamming_distance(responses[i], responses[j], looseness) / m
-    return 2.0 / (n * (n - 1)) * total * 100.0
+    _check_looseness(looseness)
+    bins = _stacked_bins(responses)
+    # response i against all later ones: O(n * modes) memory per step
+    total = sum(
+        int(np.count_nonzero(np.abs(bins[i + 1:] - bins[i]) >= looseness))
+        for i in range(n - 1)
+    )
+    return 2.0 * total / (n * (n - 1)) / bins.shape[1] * 100.0
 
 
 def aggregate_uniqueness(responses_per_challenge, looseness: int = 2) -> float:
@@ -209,46 +245,17 @@ def looseness_sweep(repeated_pairs, random_pairs, looseness_max: int = 10) -> Lo
 
     Both inputs are sequences of (QuantizedResponse, QuantizedResponse)
     pairs; typically repeated_pairs compares repeats of one challenge on one
-    device and random_pairs compares responses that should disagree.
+    device and random_pairs compares responses that should disagree.  All
+    responses of one population must share one length and bin fraction.
     """
     if looseness_max < 1:
         raise ValueError(f"looseness_max must be >= 1, got {looseness_max}")
-
-    def _absdiffs(pairs):
-        rows = []
-        for a, b in pairs:
-            _check_comparable(a, b)
-            rows.append(np.abs(np.asarray(a.bins) - np.asarray(b.bins)))
-        return rows
-
-    rep = _absdiffs(repeated_pairs)
-    rand = _absdiffs(random_pairs)
-    if not rep or not rand:
+    populations = [list(repeated_pairs), list(random_pairs)]
+    if not all(populations):
         raise ValueError("both pair populations must be non-empty")
     levels = tuple(range(1, looseness_max + 1))
-    rep_stats = []
-    rand_stats = []
-    for level in levels:
-        rep_stats.append(distance_stats([int(np.count_nonzero(d >= level)) for d in rep]))
-        rand_stats.append(distance_stats([int(np.count_nonzero(d >= level)) for d in rand]))
-    return LoosenessSweep(
-        looseness_values=levels,
-        repeated=tuple(rep_stats),
-        random=tuple(rand_stats),
+    repeated, random = (
+        tuple(distance_stats(column) for column in _pair_differences(*zip(*pairs), levels)[1].T)
+        for pairs in populations
     )
-
-
-def write_histogram_csv(stats: DistanceStats, path) -> None:
-    """Write a histogram as CSV with columns bin_low, bin_high, count."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for lo, hi, count in stats.histogram:
-            writer.writerow([repr(lo), repr(hi), count])
-
-
-def write_stats_json(stats: DistanceStats, path) -> None:
-    """Write summary statistics as deterministic JSON."""
-    with open(path, "w") as handle:
-        json.dump(stats.as_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    return LoosenessSweep(looseness_values=levels, repeated=repeated, random=random)

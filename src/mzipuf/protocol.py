@@ -12,7 +12,7 @@ must pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     QuantizedResponse,
+    _pair_differences,
+    _row_l2,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,
@@ -70,13 +72,7 @@ class VerifyPolicy:
     low_confidence: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "looseness": self.looseness,
-            "lhd_threshold": self.lhd_threshold,
-            "l2_threshold": self.l2_threshold,
-            "clamped": self.clamped,
-            "low_confidence": self.low_confidence,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "VerifyPolicy":
@@ -270,16 +266,15 @@ def enroll(
     indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
     measured = measure_batch(device, challenges, stream, indices)
     for cid, (challenge, raws) in enumerate(zip(challenges, measured)):
-        mean_intensities = np.mean(raws, axis=0)
-        reference = quantize(mean_intensities, bin_fraction)
-        repeat_responses = [quantize(raw, bin_fraction) for raw in raws]
-        spreads = [euclidean_distance(reference, rep) for rep in repeat_responses]
+        reference = quantize(np.mean(raws, axis=0), bin_fraction)
+        repeats = [quantize(raw, bin_fraction) for raw in raws]
+        diff, _ = _pair_differences([reference] * len(repeats), repeats)
         db.add(
             CrpRecord(
                 challenge_id=cid,
                 challenge=challenge,
                 reference=reference,
-                repeat_stats=distance_stats(spreads),
+                repeat_stats=distance_stats(_row_l2(diff)),
             )
         )
     db.collision_pairs = audit_collisions(db).pair_count

@@ -9,7 +9,7 @@ import pytest
 from mzipuf.cli import main
 from mzipuf.combinatorics import chip_crp_total, distinguishable_crp_count
 from mzipuf.fabrication import load_chip
-from mzipuf.protocol import CrpDatabase
+from mzipuf.protocol import CrpDatabase, VerifyPolicy
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,41 @@ def test_verify_with_explicit_thresholds(enrolled, capsys):
     decision = json.loads(out)
     assert decision["accepted"] is True
     assert decision["l2"] == 1.0
+
+
+@pytest.mark.parametrize("flag, value, policy", [
+    ("--lhd-threshold", "1", VerifyPolicy(lhd_threshold=0, l2_threshold=3.0)),
+    ("--l2-threshold", "3.0", VerifyPolicy(lhd_threshold=1, l2_threshold=1.0)),
+    ("--looseness", "3", VerifyPolicy(lhd_threshold=0, l2_threshold=3.0)),
+])
+def test_verify_flag_overrides_only_its_field_of_the_db_policy(enrolled, capsys,
+                                                               flag, value, policy):
+    db = CrpDatabase.load(enrolled)
+    db.policy = policy
+    db.save(enrolled)
+    bins = list(db.record(0).reference.bins)
+    bins[0] += 2  # lhd 1 at looseness 1 and 2, 0 at 3; l2 2.0
+    argv = ["verify", "--db", str(enrolled), "--challenge-id", "0",
+            "--bins", ",".join(str(b) for b in bins)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2  # the database policy alone rejects
+    code, out = run_cli(capsys, *argv, flag, value)
+    assert code == 0
+    decision = json.loads(out)
+    assert decision["accepted"] is True
+    assert decision["lhd"] == (0 if flag == "--looseness" else 1)
+    assert decision["l2"] == 2.0
+
+
+def test_verify_single_flag_keeps_strict_default_without_db_policy(enrolled, capsys):
+    db = CrpDatabase.load(enrolled)
+    assert db.policy is None
+    bins = list(db.record(0).reference.bins)
+    bins[0] += 2
+    code, out = run_cli(capsys, "verify", "--db", str(enrolled), "--challenge-id", "0",
+                        "--bins", ",".join(str(b) for b in bins), "--lhd-threshold", "5")
+    assert code == 2  # the unset l2 threshold stays the strict 0.0
+    assert json.loads(out)["l2"] == 2.0
 
 
 def test_audit_collisions_reports_counts(enrolled, capsys):

@@ -14,9 +14,7 @@ from mzipuf.experiments import (
     config_from_dict,
     emit_artifacts,
     large_pair_config,
-    run_large_pair,
     run_pair_experiment,
-    run_small_pair,
     small_pair_config,
 )
 from mzipuf.fabrication import Challenge, NoiseConfig
@@ -61,6 +59,17 @@ def test_config_dict_round_trip():
                           headline_looseness=3, clone_devices=True)
     rebuilt = config_from_dict(json.loads(json.dumps(config.as_dict())))
     assert rebuilt == replace(config, output_dir=None)
+
+
+def test_config_from_preset_alone_takes_dataclass_defaults():
+    assert config_from_dict({"preset": "large-pair"}) == ExperimentConfig(preset="large-pair")
+    partial = config_from_dict({"preset": "small-pair", "seed": "7",
+                                "noise": {"samples_per_response": 40.0}})
+    assert partial == ExperimentConfig(seed=7, noise=NoiseConfig(samples_per_response=40))
+    assert isinstance(partial.seed, int)
+    assert isinstance(partial.noise.samples_per_response, int)
+    with pytest.raises(ValueError, match="preset"):
+        config_from_dict({"seed": 7})
 
 
 def test_small_run_shapes():
@@ -156,11 +165,11 @@ def test_large_pair_minimal_run():
 
 
 def test_run_helpers_accept_overrides():
-    report = run_small_pair(challenge_count=5, repeat_count=2,
-                            noise=NoiseConfig.disabled())
+    report = run_pair_experiment(small_pair_config(challenge_count=5, repeat_count=2,
+                                                   noise=NoiseConfig.disabled()))
     assert report.config.challenge_count == 5
-    report = run_large_pair(challenge_count=2, repeat_count=2,
-                            noise=NoiseConfig.disabled())
+    report = run_pair_experiment(large_pair_config(challenge_count=2, repeat_count=2,
+                                                   noise=NoiseConfig.disabled()))
     assert report.config.preset == "large-pair"
 
 

@@ -102,8 +102,13 @@ def test_mesh_layout_counts(columns, mzis, modes):
 
 def test_mesh_layout_column_indexing():
     layout = build_mesh(4)
+    spans = list(layout.column_spans())
     # column-major: index 0 is column 1, indices 1-2 column 2, 3-5 column 3
-    assert [layout.column_of(i) for i in range(10)] == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+    columns = [c for c, (slots, _) in enumerate(spans, start=1)
+               for _ in range(slots.start, slots.stop)]
+    assert columns == [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+    # column c couples the 2c consecutive modes centred in the mesh
+    assert [(modes.start, modes.stop) for _, modes in spans] == [(3, 5), (2, 6), (1, 7), (0, 8)]
 
 
 def test_build_mesh_rejects_zero_columns():

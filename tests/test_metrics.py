@@ -1,12 +1,14 @@
 """Unit tests for quantization and response distance metrics."""
 
-import csv
 import json
 import statistics
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzipuf.metrics import (
     DEFAULT_BIN_FRACTION,
@@ -14,6 +16,8 @@ from mzipuf.metrics import (
     DistanceStats,
     LoosenessSweep,
     QuantizedResponse,
+    _pair_differences,
+    _row_l2,
     aggregate_uniqueness,
     distance_stats,
     euclidean_distance,
@@ -21,8 +25,6 @@ from mzipuf.metrics import (
     looseness_sweep,
     quantize,
     uniqueness,
-    write_histogram_csv,
-    write_stats_json,
 )
 
 
@@ -282,26 +284,90 @@ def test_looseness_sweep_rejects_empty():
         looseness_sweep(pair, pair, looseness_max=0)
 
 
-def test_write_histogram_csv(tmp_path):
-    stats = distance_stats([1.25, 2.75, 2.9])
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(stats, path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["bin_low", "bin_high", "count"]
-    parsed = tuple((float(lo), float(hi), int(c)) for lo, hi, c in rows[1:])
-    assert parsed == stats.histogram
-
-
-def test_write_stats_json(tmp_path):
-    stats = distance_stats([3.0, 1.0, 2.0])
-    path = tmp_path / "stats.json"
-    write_stats_json(stats, path)
-    with open(path) as handle:
-        assert DistanceStats.from_dict(json.load(handle)) == stats
-
-
 def test_quantize_rejects_non_finite_input():
     for bad in ([0.5, np.nan], [np.inf, 0.5], [-np.inf, 1.0]):
         with pytest.raises(ValueError, match="intensities must be finite"):
             quantize(bad)
+
+
+def bin_populations(min_size=2, max_size=8):
+    """Lists of equal-length bin vectors, as tuples of ints."""
+    return st.integers(1, 8).flatmap(
+        lambda m: st.lists(
+            st.tuples(*[st.integers(0, 12)] * m), min_size=min_size, max_size=max_size
+        )
+    )
+
+
+def definitional_lhd(a, b, looseness):
+    return sum(abs(x - y) >= looseness for x, y in zip(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=bin_populations(), looseness=st.integers(1, 6))
+def test_uniqueness_equals_pairwise_mean(population, looseness):
+    n, m = len(population), len(population[0])
+    total = sum(
+        definitional_lhd(population[i], population[j], looseness) / m
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    expected = 2.0 / (n * (n - 1)) * total * 100.0
+    responses = [QuantizedResponse(bins) for bins in population]
+    assert uniqueness(responses, looseness) == pytest.approx(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=bin_populations(min_size=1),
+       levels=st.lists(st.integers(1, 14), max_size=5))
+def test_pair_difference_counts_match_pairwise_distances(population, levels):
+    responses = [QuantizedResponse(bins) for bins in population]
+    n = len(responses)
+    pairs = [(a, b) for a in responses for b in responses]  # every ordered pair
+    diff, counts = _pair_differences(*zip(*pairs), levels)
+    assert diff.shape == (n * n, len(population[0]))
+    assert counts.shape == (n * n, len(levels))
+    lengths = _row_l2(diff)
+    for row, (a, b) in enumerate(pairs):
+        assert diff[row].tolist() == [abs(x - y) for x, y in zip(a.bins, b.bins)]
+        assert counts[row].tolist() == [loose_hamming_distance(a, b, L) for L in levels]
+        assert counts[row].tolist() == [definitional_lhd(a.bins, b.bins, L) for L in levels]
+        assert lengths[row] == euclidean_distance(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=bin_populations(), data=st.data())
+def test_mismatched_responses_raise(population, data):
+    responses = [QuantizedResponse(bins) for bins in population]
+    k = data.draw(st.integers(0, len(responses) - 1))
+    if data.draw(st.booleans()):
+        odd, message = QuantizedResponse(population[k] + (0,)), "lengths differ"
+    else:
+        odd, message = QuantizedResponse(population[k], bin_fraction=0.01), "bin fractions"
+    good = [(r, r) for r in responses]
+    with pytest.raises(ValueError, match=message):
+        uniqueness(responses[:k] + [odd] + responses[k + 1:])
+    with pytest.raises(ValueError, match=message):
+        looseness_sweep(good + [(responses[k], odd)], good)
+    with pytest.raises(ValueError, match=message):
+        looseness_sweep(good, [(odd, responses[k])] + good)
+
+
+def test_looseness_sweep_needs_one_length_per_population():
+    short, long = QuantizedResponse((1, 2)), QuantizedResponse((1, 2, 3))
+    with pytest.raises(ValueError, match="response lengths differ: 2 vs 3"):
+        looseness_sweep([(short, short), (long, long)], [(short, short)])
+
+
+def test_uniqueness_memory_grows_with_n_not_pairs():
+    rng = np.random.default_rng(3)
+    responses = [QuantizedResponse(row) for row in rng.integers(0, 12, (1500, 66)).tolist()]
+    tracemalloc.start()
+    try:
+        value = uniqueness(responses, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1500 x 66 int64 bins are 0.8 MB; the 1.1 million pairs would need 0.6 GB
+    assert peak < 8e6
+    assert 0.0 < value < 100.0
