@@ -17,10 +17,11 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._codec import decode, encode
 from .fabrication import (
     Challenge,
     NoiseConfig,
@@ -78,36 +79,26 @@ class ExperimentConfig:
         if self.looseness_max < self.headline_looseness:
             raise ValueError("looseness_max must cover headline_looseness")
 
-    def as_dict(self) -> dict:
-        payload = asdict(self)
-        del payload["output_dir"]
-        payload["chip_seeds"] = list(self.chip_seeds)
-        return {"format": CONFIG_FORMAT, **payload}
 
-
-def _coerced_fields(cls, payload: dict) -> dict:
-    """Fields of dataclass cls given in payload, each cast to its default's type.
-
-    A field whose default is None (output_dir) is never read from a file.
-    """
-    values = {}
-    for item in fields(cls):
-        if item.name in payload and item.default is not None:
-            kind, value = type(item.default), payload[item.name]
-            values[item.name] = (
-                kind(**_coerced_fields(kind, value)) if is_dataclass(kind) else kind(value)
-            )
-    return values
+def _config_payload(config: ExperimentConfig) -> dict:
+    """The stored config: its fields without output_dir, which is never written."""
+    payload = encode(config)
+    del payload["output_dir"]
+    return {"format": CONFIG_FORMAT, **payload}
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    """Rebuild a config from its as_dict form (CLI --config files).
+    """Rebuild a config from its stored form (CLI --config files).
 
-    preset is required; every other missing field keeps its default.
+    preset is required; every other missing field, nested noise fields
+    included, keeps its default.  output_dir is never read from a file.
     """
-    if "preset" not in payload:
+    if not isinstance(payload, dict) or "preset" not in payload:
         raise ValueError("experiment config names no preset")
-    return ExperimentConfig(**_coerced_fields(ExperimentConfig, payload))
+    defaults = encode(ExperimentConfig())
+    noise = payload.get("noise", {})
+    noise = {**defaults["noise"], **noise} if isinstance(noise, dict) else noise
+    return decode(ExperimentConfig, {**defaults, **payload, "noise": noise, "output_dir": None})
 
 
 def small_pair_config(**overrides) -> ExperimentConfig:
@@ -292,37 +283,24 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _summary_payload(report: ExperimentReport) -> dict:
-    def stats_or_none(stats):
-        return stats.as_dict() if stats is not None else None
-
-    payload = {
+    """The report without its raw rows; uniqueness keys are strings, so they
+    sort as text, and the sweep is stored with its separations."""
+    payload = encode(report)
+    del payload["inter_rows"], payload["intra_rows"]
+    sweep, separations = payload.pop("sweep"), payload.pop("sweep_separations")
+    if sweep is not None:
+        sweep = {"looseness": sweep["looseness_values"], "repeated": sweep["repeated"],
+                 "random": sweep["random"], "separation": separations}
+    return {
+        **payload,
         "format": SUMMARY_FORMAT,
         "preset": report.config.preset,
-        "config": report.config.as_dict(),
-        "device_digests": list(report.device_digests),
-        "shared_mzis": report.shared_mzis,
-        "collision_count": report.collision_count,
+        "config": _config_payload(report.config),
         "uniqueness_by_looseness": {
             str(level): value for level, value in report.uniqueness_by_looseness.items()
         },
-        "inter_lhd": stats_or_none(report.inter_lhd),
-        "inter_l2": stats_or_none(report.inter_l2),
-        "intra_lhd": stats_or_none(report.intra_lhd),
-        "intra_l2": stats_or_none(report.intra_l2),
-        "separation_sigma": report.separation_sigma,
-        "optimal_looseness": report.optimal_looseness,
-        "challenge_set_digest": report.challenge_set_digest,
+        "looseness_sweep": sweep,
     }
-    if report.sweep is not None:
-        payload["looseness_sweep"] = {
-            "looseness": list(report.sweep.looseness_values),
-            "repeated": [s.as_dict() for s in report.sweep.repeated],
-            "random": [s.as_dict() for s in report.sweep.random],
-            "separation": list(report.sweep_separations),
-        }
-    else:
-        payload["looseness_sweep"] = None
-    return payload
 
 
 def emit_artifacts(report: ExperimentReport, output_dir) -> dict:
@@ -344,7 +322,7 @@ def emit_artifacts(report: ExperimentReport, output_dir) -> dict:
         _write_csv(os.path.join(output_dir, name), header, rows)
         written.append(name)
 
-    emit_json("experiment_config.json", report.config.as_dict())
+    emit_json("experiment_config.json", _config_payload(report.config))
     emit_csv(
         "inter_distances.csv",
         ["challenge_index", "challenge_digest", "lhd", "l2"],

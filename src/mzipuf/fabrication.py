@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._codec import decode, encode, int_tuple
 from .mesh import (
     TWO_PI,
     CouplerArrays,
@@ -145,29 +146,11 @@ def fabricate_chip(seed: int, spec: ChipLayoutSpec) -> ChipFingerprint:
 
 
 def _chip_payload(chip: ChipFingerprint) -> dict:
-    return {
-        "format": CHIP_FORMAT,
-        "seed": chip.seed,
-        "layout": {
-            "mzi_count": chip.spec.mzi_count,
-            "adjacency": [list(pair) for pair in chip.spec.adjacency],
-            "v2pi_nominal": chip.spec.v2pi_nominal,
-            "heater_sigma": chip.spec.heater_sigma,
-            "coupler_sigma": chip.spec.coupler_sigma,
-            "phase_offset_span": chip.spec.phase_offset_span,
-            "ground_loop_scale": chip.spec.ground_loop_scale,
-        },
-        "heaters": [
-            {
-                "resistance_factor": h.resistance_factor,
-                "v2pi": h.v2pi,
-                "phase_offset": h.phase_offset,
-            }
-            for h in chip.heaters
-        ],
-        "couplers": [[c.eta1, c.eta2] for c in chip.couplers],
-        "ground_loops": [[a, b, c] for a, b, c in chip.ground_loops],
-    }
+    """The chip file's layout: the spec under "layout", couplers as [eta1, eta2] rows."""
+    payload = encode(chip)
+    payload["layout"] = payload.pop("spec")
+    payload["couplers"] = [(c.eta1, c.eta2) for c in chip.couplers]
+    return {"format": CHIP_FORMAT, **payload}
 
 
 def save_chip(chip: ChipFingerprint, path) -> None:
@@ -180,35 +163,14 @@ def save_chip(chip: ChipFingerprint, path) -> None:
 def load_chip(path) -> ChipFingerprint:
     with open(path) as handle:
         payload = json.load(handle)
-    if payload.get("format") != CHIP_FORMAT:
-        raise ValueError(f"not a chip fingerprint file: format={payload.get('format')!r}")
-    layout = payload["layout"]
-    spec = ChipLayoutSpec(
-        mzi_count=int(layout["mzi_count"]),
-        adjacency=tuple((int(a), int(b)) for a, b in layout["adjacency"]),
-        v2pi_nominal=float(layout["v2pi_nominal"]),
-        heater_sigma=float(layout["heater_sigma"]),
-        coupler_sigma=float(layout["coupler_sigma"]),
-        phase_offset_span=float(layout["phase_offset_span"]),
-        ground_loop_scale=float(layout["ground_loop_scale"]),
-    )
-    heaters = tuple(
-        HeaterParams(
-            resistance_factor=float(h["resistance_factor"]),
-            v2pi=float(h["v2pi"]),
-            phase_offset=float(h["phase_offset"]),
-        )
-        for h in payload["heaters"]
-    )
-    couplers = tuple(CouplerPair(float(e1), float(e2)) for e1, e2 in payload["couplers"])
-    loops = tuple((int(a), int(b), float(c)) for a, b, c in payload["ground_loops"])
-    return ChipFingerprint(
-        seed=int(payload["seed"]),
-        spec=spec,
-        heaters=heaters,
-        couplers=couplers,
-        ground_loops=loops,
-    )
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != CHIP_FORMAT:
+        raise ValueError(f"not a chip fingerprint file: format={found!r}")
+    try:
+        couplers = [{"eta1": eta1, "eta2": eta2} for eta1, eta2 in payload.get("couplers")]
+    except (TypeError, ValueError):
+        raise ValueError("chip file couplers must be [eta1, eta2] rows") from None
+    return decode(ChipFingerprint, {**payload, "spec": payload.get("layout"), "couplers": couplers})
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +323,7 @@ class Challenge:
     v2pi_nominal: float = V2PI_NOMINAL
 
     def __post_init__(self):
-        levels = tuple(int(q) for q in self.levels)
+        levels = int_tuple(self.levels)
         object.__setattr__(self, "levels", levels)
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")

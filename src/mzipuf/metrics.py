@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._codec import int_tuple
+
 DEFAULT_BIN_FRACTION = 0.005
 
 # absorbs float rounding at exact bin boundaries so ratios that are whole
@@ -37,8 +39,8 @@ class QuantizedResponse:
     bin_fraction: float = DEFAULT_BIN_FRACTION
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", tuple(int(b) for b in self.bins))
-        if any(b < 0 for b in self.bins):
+        object.__setattr__(self, "bins", int_tuple(self.bins))
+        if min(self.bins, default=0) < 0:
             raise ValueError("bins must be non-negative")
         if not 0.0 < self.bin_fraction <= 1.0:
             raise ValueError(f"bin_fraction must lie in (0, 1], got {self.bin_fraction}")
@@ -179,31 +181,6 @@ class DistanceStats:
     min: float
     max: float
     histogram: tuple[tuple[float, float, int], ...] = field(repr=False, default=())
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "std_dev": self.std_dev,
-            "min": self.min,
-            "max": self.max,
-            "histogram": [list(row) for row in self.histogram],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DistanceStats":
-        return cls(
-            count=int(payload["count"]),
-            mean=float(payload["mean"]),
-            median=float(payload["median"]),
-            std_dev=float(payload["std_dev"]),
-            min=float(payload["min"]),
-            max=float(payload["max"]),
-            histogram=tuple(
-                (float(lo), float(hi), int(c)) for lo, hi, c in payload["histogram"]
-            ),
-        )
 
 
 def distance_stats(values, bin_width: float = 1.0) -> DistanceStats:

@@ -12,10 +12,11 @@ must pass.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._codec import decode, encode
 from .fabrication import Challenge, DeviceInstance, NoiseConfig, NoiseStream, measure_batch
 from .metrics import (
     DEFAULT_BIN_FRACTION,
@@ -70,19 +71,6 @@ class VerifyPolicy:
     l2_threshold: float = 0.0
     clamped: bool = False
     low_confidence: bool = False
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "VerifyPolicy":
-        return cls(
-            looseness=int(payload["looseness"]),
-            lhd_threshold=int(payload["lhd_threshold"]),
-            l2_threshold=float(payload["l2_threshold"]),
-            clamped=bool(payload["clamped"]),
-            low_confidence=bool(payload["low_confidence"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,31 +142,22 @@ class CrpDatabase:
         )
 
     def save(self, path) -> None:
-        """Line-delimited JSON: one header line, then one line per record."""
-        header = {
-            "format": DB_FORMAT,
-            "device_digest": self.device_digest,
-            "bin_fraction": self.bin_fraction,
-            "record_count": len(self.records),
-            "collision_pairs": self.collision_pairs,
-            "policy": self.policy.as_dict() if self.policy else None,
-        }
+        """Line-delimited JSON: one header line, then one line per record.
+
+        A record row stores its id under "id", its challenge's fields
+        flattened into the row, and its reference bins under "reference"
+        (their bin fraction is the header's).
+        """
+        header = _DbHeader(self.device_digest, self.bin_fraction, len(self.records),
+                           self.collision_pairs, self.policy)
+        to_json = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
         with open(path, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
+            handle.write(to_json({"format": DB_FORMAT, **encode(header)}) + "\n")
             for cid in sorted(self.records):
-                record = self.records[cid]
-                row = {
-                    "id": record.challenge_id,
-                    "levels": list(record.challenge.levels),
-                    "bits": record.challenge.bits,
-                    "v2pi_nominal": record.challenge.v2pi_nominal,
-                    "reference": list(record.reference.bins),
-                    "repeat_stats": (
-                        record.repeat_stats.as_dict() if record.repeat_stats else None
-                    ),
-                    "consumed": record.consumed,
-                }
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+                row = encode(self.records[cid])
+                row.update(row.pop("challenge"), id=row.pop("challenge_id"),
+                           reference=row["reference"]["bins"])
+                handle.write(to_json(row) + "\n")
 
     @classmethod
     def load(cls, path) -> "CrpDatabase":
@@ -186,42 +165,41 @@ class CrpDatabase:
             lines = [line for line in handle.read().splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty database file")
-        header = json.loads(lines[0])
+        # one line parsed at a time: the parsed rows are garbage right after
+        header = _json_object(lines[0])
         if header.get("format") != DB_FORMAT:
             raise ValueError(f"not a CRP database: format={header.get('format')!r}")
-        db = cls(
-            device_digest=header["device_digest"],
-            bin_fraction=float(header["bin_fraction"]),
-            policy=VerifyPolicy.from_dict(header["policy"]) if header["policy"] else None,
-            collision_pairs=int(header["collision_pairs"]),
-        )
-        for line in lines[1:]:
-            row = json.loads(line)
-            db.add(
-                CrpRecord(
-                    challenge_id=int(row["id"]),
-                    challenge=Challenge(
-                        levels=tuple(row["levels"]),
-                        bits=int(row["bits"]),
-                        v2pi_nominal=float(row["v2pi_nominal"]),
-                    ),
-                    reference=QuantizedResponse(
-                        bins=tuple(row["reference"]), bin_fraction=db.bin_fraction
-                    ),
-                    repeat_stats=(
-                        DistanceStats.from_dict(row["repeat_stats"])
-                        if row["repeat_stats"]
-                        else None
-                    ),
-                    consumed=bool(row["consumed"]),
-                )
-            )
-        if len(db) != int(header["record_count"]):
+        header = decode(_DbHeader, header)
+        db = cls(header.device_digest, header.bin_fraction, policy=header.policy,
+                 collision_pairs=header.collision_pairs)
+        for row in map(_json_object, lines[1:]):
+            reference = {"bins": row.get("reference"), "bin_fraction": db.bin_fraction}
+            db.add(decode(CrpRecord, {**row, "challenge_id": row.get("id"), "challenge": row,
+                                      "reference": reference}))
+        if len(db) != header.record_count:
             raise ValueError(
-                f"record count mismatch: header says {header['record_count']}, "
+                f"record count mismatch: header says {header.record_count}, "
                 f"file has {len(db)}"
             )
         return db
+
+
+def _json_object(line: str) -> dict:
+    value = json.loads(line)
+    if not isinstance(value, dict):
+        raise ValueError(f"database line is not a JSON object: {line[:40]!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class _DbHeader:
+    """The header line of a saved database, besides its format string."""
+
+    device_digest: str
+    bin_fraction: float
+    record_count: int
+    collision_pairs: int
+    policy: VerifyPolicy | None
 
 
 def audit_collisions(db: CrpDatabase) -> CollisionReport:

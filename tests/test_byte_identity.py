@@ -8,11 +8,22 @@ purpose re-pins them and says why.
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mzipuf.experiments import large_pair_config, run_pair_experiment, small_pair_config
-from mzipuf.fabrication import LARGE_PAIR, fabricate_chip
-from mzipuf.protocol import enroll
+from mzipuf.fabrication import (
+    LARGE_PAIR,
+    NoiseConfig,
+    NoiseStream,
+    fabricate_chip,
+    measure,
+    save_chip,
+    save_device,
+)
+from mzipuf.mesh import build_mesh
+from mzipuf.metrics import quantize
+from mzipuf.protocol import calibrate_policy, enroll, issue_challenge
 
 
 def sha256_of(path) -> str:
@@ -37,3 +48,52 @@ def test_enrolled_database_is_pinned(tmp_path):
     assert sha256_of(tmp_path / "crp.jsonl") == (
         "d403537a57de84b909a3d92bd8094df6ffa560cab91902b2e8bbb2f0446db7ff"
     )
+
+
+def test_chip_and_device_files_are_pinned(tmp_path):
+    chip = fabricate_chip(7, LARGE_PAIR.chip_spec())
+    save_chip(chip, tmp_path / "chip.json")
+    save_device(LARGE_PAIR.carve_pair(chip)[0], tmp_path / "device.json")
+    assert sha256_of(tmp_path / "chip.json") == (
+        "f8cc99149d9ebb9f0033bd2e94dd54dc710d202d2e58dc17c356615b361cc75b"
+    )
+    assert sha256_of(tmp_path / "device.json") == (
+        "c99ccf7aade8568da44f0b7b73bbd19225bc6919d067fd72a018676ce5e1ebd0"
+    )
+
+
+def test_calibrated_database_with_an_issued_record_is_pinned(tmp_path):
+    devices = LARGE_PAIR.carve_pair(fabricate_chip(7, LARGE_PAIR.chip_spec()))
+    db = enroll(devices[0], challenge_count=8, repeats_per_challenge=3, rng_seed=5)
+    # device A answers the first four challenges afresh (legitimate), device B
+    # answers the same four (impostor)
+    samples = []
+    for k, device in enumerate(devices):
+        stream = NoiseStream((3, k), device.layout.mode_count)
+        samples.append([
+            (cid, quantize(measure(device, db.record(cid).challenge, stream, cid)))
+            for cid in range(4)
+        ])
+    db.policy = calibrate_policy(db, *samples)
+    assert not db.policy.clamped and db.policy.lhd_threshold == 1
+    issue_challenge(db, np.random.default_rng(11))
+    db.save(tmp_path / "crp.jsonl")
+    assert sum(r.consumed for r in db.records.values()) == 1
+    assert sha256_of(tmp_path / "crp.jsonl") == (
+        "e6a021f500a2c44b674af4e1702db53d70fbcca12dcd4bb3138b6da96e0d5e7f"
+    )
+
+
+def test_headline_uniqueness_is_a_running_sum_in_challenge_order():
+    # the headline shares sum to 158.31818181818178 left to right here, and to
+    # 158.3181818181818 pairwise (np.sum over the column); builtin sum is
+    # compensated from Python 3.12 on, so the loop is written out
+    config = large_pair_config(challenge_count=300, repeat_count=2,
+                               noise=NoiseConfig.disabled())
+    report = run_pair_experiment(config)
+    modes = build_mesh(LARGE_PAIR.columns).mode_count
+    acc = 0.0
+    for _, _, lhd, _ in report.inter_rows:
+        acc += lhd / modes
+    headline = report.uniqueness_by_looseness[config.headline_looseness]
+    assert headline == acc / config.challenge_count * 100.0

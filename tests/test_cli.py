@@ -233,6 +233,13 @@ def test_experiment_config_file(tmp_path, capsys):
         main(["experiment", "large-pair", "--config", str(config_path)])
 
 
+def test_experiment_config_file_with_null_seed_is_an_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"preset": "small-pair", "seed": None}))
+    assert main(["experiment", "small-pair", "--config", str(config_path)]) == 1
+    assert "error: ExperimentConfig.seed" in capsys.readouterr().err
+
+
 def test_experiment_adversary_seed(capsys):
     code, out = run_cli(capsys, "experiment", "small-pair",
                         "--challenges", "5", "--repeats", "2", "--no-noise",

@@ -11,6 +11,7 @@ import pytest
 from mzipuf.experiments import (
     ExperimentConfig,
     ExperimentReport,
+    _config_payload,
     config_from_dict,
     emit_artifacts,
     large_pair_config,
@@ -57,7 +58,7 @@ def test_config_validation():
 def test_config_dict_round_trip():
     config = quick_config(seed=7, bin_fraction=0.01, looseness_max=6,
                           headline_looseness=3, clone_devices=True)
-    rebuilt = config_from_dict(json.loads(json.dumps(config.as_dict())))
+    rebuilt = config_from_dict(json.loads(json.dumps(_config_payload(config))))
     assert rebuilt == replace(config, output_dir=None)
 
 
@@ -70,6 +71,12 @@ def test_config_from_preset_alone_takes_dataclass_defaults():
     assert isinstance(partial.noise.samples_per_response, int)
     with pytest.raises(ValueError, match="preset"):
         config_from_dict({"seed": 7})
+    with pytest.raises(ValueError, match="ExperimentConfig.seed"):
+        config_from_dict({"preset": "small-pair", "seed": None})
+    with pytest.raises(ValueError, match="ExperimentConfig.noise"):
+        config_from_dict({"preset": "small-pair", "noise": None})
+    with pytest.raises(ValueError, match="NoiseConfig.enabled"):
+        config_from_dict({"preset": "small-pair", "noise": {"enabled": "no"}})
 
 
 def test_small_run_shapes():

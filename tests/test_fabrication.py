@@ -116,6 +116,20 @@ def test_load_chip_rejects_wrong_format(tmp_path):
     path.write_text(json.dumps({"format": "something-else/9"}))
     with pytest.raises(ValueError):
         load_chip(path)
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="format=None"):
+        load_chip(path)
+
+    save_chip(small_chip(), path)
+    payload = json.loads(path.read_text())
+    del payload["layout"]["heater_sigma"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="ChipLayoutSpec.heater_sigma is missing"):
+        load_chip(path)
+    payload["couplers"][3] = [0.5]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="eta1, eta2"):
+        load_chip(path)
 
 
 def test_carve_validation():

@@ -1,6 +1,5 @@
 """Unit tests for quantization and response distance metrics."""
 
-import json
 import statistics
 import tracemalloc
 from types import SimpleNamespace
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from mzipuf.metrics import (
     DEFAULT_BIN_FRACTION,
     DegenerateResponseError,
-    DistanceStats,
     LoosenessSweep,
     QuantizedResponse,
     _pair_differences,
@@ -252,12 +250,6 @@ def test_distance_stats_rejects_bad_input():
         distance_stats([])
     with pytest.raises(ValueError):
         distance_stats([1.0], bin_width=0.0)
-
-
-def test_distance_stats_dict_round_trip():
-    stats = distance_stats([1.0, 4.0, 4.5, 9.0])
-    assert DistanceStats.from_dict(stats.as_dict()) == stats
-    assert DistanceStats.from_dict(json.loads(json.dumps(stats.as_dict()))) == stats
 
 
 def test_looseness_sweep_counts():

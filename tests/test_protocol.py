@@ -61,13 +61,6 @@ def test_database_basics():
         db.add(make_record(1, (9, 9)))
 
 
-def test_policy_dict_round_trip():
-    policy = VerifyPolicy(looseness=3, lhd_threshold=2, l2_threshold=7.25,
-                          clamped=True, low_confidence=True)
-    assert VerifyPolicy.from_dict(policy.as_dict()) == policy
-    assert VerifyPolicy.from_dict(json.loads(json.dumps(policy.as_dict()))) == policy
-
-
 def test_enroll_records_are_complete():
     device = make_device()
     db = enroll(device, challenge_count=12, repeats_per_challenge=3,
@@ -152,6 +145,20 @@ def test_database_load_rejects_bad_files(tmp_path):
     path.write_text(lines[0] + "\n")  # drop the record line
     with pytest.raises(ValueError):
         CrpDatabase.load(path)
+
+    header, row = json.loads(lines[0]), json.loads(lines[1])
+    del header["device_digest"]
+    no_bits = {key: value for key, value in row.items() if key != "bits"}
+    for bad_header, bad_row, field in (
+        (header, row, "_DbHeader.device_digest"),
+        (json.loads(lines[0]), no_bits, "Challenge.bits"),
+        (json.loads(lines[0]), {**row, "levels": None}, "Challenge.levels"),
+        (json.loads(lines[0]), {**row, "consumed": "no"}, "CrpRecord.consumed"),
+        (json.loads(lines[0]), [1, 2], "not a JSON object"),
+    ):
+        path.write_text(json.dumps(bad_header) + "\n" + json.dumps(bad_row) + "\n")
+        with pytest.raises(ValueError, match=field):
+            CrpDatabase.load(path)
 
 
 def test_issue_consumes_and_exhausts():
