@@ -1,4 +1,4 @@
-"""One codec between dataclasses and the JSON-ready dicts they are stored as.
+"""Stored files and digests: one codec, one writer, one format check, one digest.
 
 encode turns a dataclass into a dict, one level per nested dataclass;
 tuples stay tuples, which json writes as lists.  decode(cls, payload)
@@ -6,15 +6,48 @@ rebuilds the dataclass, casting every field by its annotation, and raises
 ValueError naming Class.field when a field is missing or has the wrong
 type.  Where a stored layout differs from the fields, the mapping lives at
 that format's one call site.
+
+Every stored JSON file is written by write_json and read by read_json,
+which checks its "format" key; canonical_digest is the sha256 that
+identifies a chip, a device and a challenge.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import operator
 import types
 import typing
 from functools import cache, partial
+
+
+def write_json(payload: dict, path) -> None:
+    """Write a stored file: sorted keys, indent 2, a trailing newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def read_json(path, expected: str, what: str) -> dict:
+    """Read a stored file written by write_json, checking its format."""
+    with open(path) as handle:
+        return check_format(json.load(handle), expected, what)
+
+
+def check_format(payload, expected: str, what: str) -> dict:
+    """payload, if it is an object whose "format" is expected; else ValueError."""
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != expected:
+        raise ValueError(f"not a {what}: format={found!r}")
+    return payload
+
+
+def canonical_digest(payload) -> str:
+    """sha256 of payload as compact JSON with sorted keys (tuples as lists)."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def encode(obj) -> dict:

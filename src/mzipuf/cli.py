@@ -57,10 +57,8 @@ def _cmd_count_crps(args) -> int:
         for columns, mzis, exact, rendered in combinatorics.crp_table(args.bits):
             print(f"{columns},{mzis},{exact},{rendered}")
         return 0
-    count = combinatorics.distinguishable_crp_count(args.columns, args.mzis, args.bits)
-    if args.subsets > 1:
-        count *= args.subsets
-    naive = combinatorics.naive_challenge_bound(args.mzis, args.bits) * max(args.subsets, 1)
+    count = combinatorics.chip_crp_total(args.subsets, args.columns, args.mzis, args.bits)
+    naive = combinatorics.naive_challenge_bound(args.mzis, args.bits) * args.subsets
     print(f"distinguishable: {_render(count, args)}")
     print(f"naive bound:     {_render(naive, args)}")
     return 0
@@ -209,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mzis", type=int, default=66)
     p.add_argument("--bits", type=int, default=combinatorics.DEFAULT_BITS_PER_MZI)
     p.add_argument("--subsets", type=int, default=1,
-                   help="disjoint same-shape meshes on the chip")
+                   help="disjoint same-shape meshes on the chip (>= 1)")
     p.add_argument("--table", action="store_true",
                    help="emit the pyramid family table as CSV")
     form = p.add_mutually_exclusive_group()

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._codec import decode, encode
+from ._codec import decode, encode, write_json
 from .fabrication import (
     Challenge,
     NoiseConfig,
@@ -313,9 +312,7 @@ def emit_artifacts(report: ExperimentReport, output_dir) -> dict:
     written = []
 
     def emit_json(name, payload):
-        with open(os.path.join(output_dir, name), "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(payload, os.path.join(output_dir, name))
         written.append(name)
 
     def emit_csv(name, header, rows):

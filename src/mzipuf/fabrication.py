@@ -17,14 +17,12 @@ response.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from ._codec import decode, encode, int_tuple
+from ._codec import canonical_digest, decode, encode, int_tuple, read_json, write_json
 from .mesh import (
     TWO_PI,
     CouplerArrays,
@@ -109,8 +107,12 @@ class ChipFingerprint:
     ground_loops: tuple[tuple[int, int, float], ...]
 
     def digest(self) -> str:
-        payload = json.dumps(_chip_payload(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """The digest of the chip file's payload; the chip is frozen, so once."""
+        return canonical_digest(_chip_payload(self))
 
 
 def fabricate_chip(seed: int, spec: ChipLayoutSpec) -> ChipFingerprint:
@@ -155,17 +157,11 @@ def _chip_payload(chip: ChipFingerprint) -> dict:
 
 def save_chip(chip: ChipFingerprint, path) -> None:
     """Write the fingerprint as versioned JSON; floats round-trip exactly."""
-    with open(path, "w") as handle:
-        json.dump(_chip_payload(chip), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(_chip_payload(chip), path)
 
 
 def load_chip(path) -> ChipFingerprint:
-    with open(path) as handle:
-        payload = json.load(handle)
-    found = payload.get("format") if isinstance(payload, dict) else None
-    if found != CHIP_FORMAT:
-        raise ValueError(f"not a chip fingerprint file: format={found!r}")
+    payload = read_json(path, CHIP_FORMAT, "chip fingerprint file")
     try:
         couplers = [{"eta1": eta1, "eta2": eta2} for eta1, eta2 in payload.get("couplers")]
     except (TypeError, ValueError):
@@ -236,16 +232,10 @@ class DeviceInstance:
         )
 
     def descriptor_digest(self) -> str:
-        payload = json.dumps(
-            {
-                "chip": self.chip.digest(),
-                "columns": self.layout.columns,
-                "slots": list(self.slot_to_global),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return canonical_digest(
+            {"chip": self.chip.digest(), "columns": self.layout.columns,
+             "slots": self.slot_to_global}
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def carve_device(chip: ChipFingerprint, columns: int, slot_to_global) -> DeviceInstance:
@@ -283,31 +273,26 @@ def shared_mzi_count(a: DeviceInstance, b: DeviceInstance) -> int:
     return len(set(a.slot_to_global) & set(b.slot_to_global))
 
 
+@dataclass(frozen=True)
+class _DeviceFile:
+    """A saved device descriptor, besides its format string."""
+
+    chip_digest: str
+    columns: int
+    slots: tuple[int, ...]
+
+
 def save_device(device: DeviceInstance, path) -> None:
     """Write a device descriptor (references its chip by digest)."""
-    with open(path, "w") as handle:
-        json.dump(
-            {
-                "format": DEVICE_FORMAT,
-                "chip_digest": device.chip.digest(),
-                "columns": device.layout.columns,
-                "slots": list(device.slot_to_global),
-            },
-            handle,
-            sort_keys=True,
-            indent=2,
-        )
-        handle.write("\n")
+    stored = _DeviceFile(device.chip.digest(), device.layout.columns, device.slot_to_global)
+    write_json({"format": DEVICE_FORMAT, **encode(stored)}, path)
 
 
 def load_device(path, chip: ChipFingerprint) -> DeviceInstance:
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("format") != DEVICE_FORMAT:
-        raise ValueError(f"not a device descriptor: format={payload.get('format')!r}")
-    if payload["chip_digest"] != chip.digest():
+    stored = decode(_DeviceFile, read_json(path, DEVICE_FORMAT, "device descriptor"))
+    if stored.chip_digest != chip.digest():
         raise ValueError("device descriptor does not match the supplied chip")
-    return carve_device(chip, int(payload["columns"]), payload["slots"])
+    return carve_device(chip, stored.columns, stored.slots)
 
 
 @dataclass(frozen=True)
@@ -338,12 +323,9 @@ class Challenge:
         return np.asarray(self.levels, dtype=float) * step
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {"levels": list(self.levels), "bits": self.bits, "v2pi": self.v2pi_nominal},
-            sort_keys=True,
-            separators=(",", ":"),
+        return canonical_digest(
+            {"levels": self.levels, "bits": self.bits, "v2pi": self.v2pi_nominal}
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     @classmethod
     def random(cls, rng: np.random.Generator, mzi_count: int, bits: int = 10,

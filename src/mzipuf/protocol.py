@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._codec import decode, encode
+from ._codec import check_format, decode, encode
 from .fabrication import Challenge, DeviceInstance, NoiseConfig, NoiseStream, measure_batch
 from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     QuantizedResponse,
+    _check_looseness,
     _pair_differences,
     _row_l2,
     distance_stats,
@@ -106,7 +107,6 @@ class CrpDatabase:
         self.device_digest = device_digest
         self.bin_fraction = bin_fraction
         self.records: dict[int, CrpRecord] = {}
-        self._issue_pool: list[int] | None = None
         for record in records:
             self.add(record)
         self.policy = policy
@@ -116,7 +116,6 @@ class CrpDatabase:
         if record.challenge_id in self.records:
             raise ValueError(f"duplicate challenge id {record.challenge_id}")
         self.records[record.challenge_id] = record
-        self._issue_pool = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -166,10 +165,7 @@ class CrpDatabase:
         if not lines:
             raise ValueError("empty database file")
         # one line parsed at a time: the parsed rows are garbage right after
-        header = _json_object(lines[0])
-        if header.get("format") != DB_FORMAT:
-            raise ValueError(f"not a CRP database: format={header.get('format')!r}")
-        header = decode(_DbHeader, header)
+        header = decode(_DbHeader, check_format(_json_object(lines[0]), DB_FORMAT, "CRP database"))
         db = cls(header.device_digest, header.bin_fraction, policy=header.policy,
                  collision_pairs=header.collision_pairs)
         for row in map(_json_object, lines[1:]):
@@ -262,20 +258,14 @@ def enroll(
 def issue_challenge(db: CrpDatabase, rng: np.random.Generator | None = None) -> CrpRecord:
     """Pick an unconsumed challenge uniformly at random and consume it.
 
-    Issuance is the single-writer path for consuming records; the pool of
-    candidates is cached so large databases issue in O(1) per draw.
+    The candidates are read from the records on every draw, so a record
+    consumed by any other path is never issued.
     """
-    if db._issue_pool is None:
-        db._issue_pool = db.unconsumed_ids()
-    pool = db._issue_pool
+    pool = db.unconsumed_ids()
     if not pool:
         raise ExhaustedDatabaseError("all enrolled challenges have been consumed")
     rng = rng if rng is not None else np.random.default_rng()
-    k = int(rng.integers(len(pool)))
-    challenge_id = pool[k]
-    pool[k] = pool[-1]
-    pool.pop()
-    record = db.records[challenge_id]
+    record = db.records[pool[int(rng.integers(len(pool)))]]
     record.consumed = True
     return record
 
@@ -318,29 +308,27 @@ def calibrate_policy(
     """
     if not legitimate:
         raise ValueError("need at least one legitimate sample")
-    intra_l2, intra_lhd = [], []
-    for cid, response in legitimate:
-        reference = db.record(cid).reference
-        intra_l2.append(euclidean_distance(reference, response))
-        intra_lhd.append(loose_hamming_distance(reference, response, looseness))
-    inter_l2 = []
-    for cid, response in impostor:
-        reference = db.record(cid).reference
-        inter_l2.append(euclidean_distance(reference, response))
+    _check_looseness(looseness)
 
+    def differences(samples, levels=()):
+        references = [db.record(cid).reference for cid, _ in samples]
+        return _pair_differences(references, [response for _, response in samples], levels)
+
+    intra_diff, intra_lhd = differences(legitimate, (looseness,))
+    intra_l2 = _row_l2(intra_diff)
     l2_threshold = float(np.mean(intra_l2) + 3.0 * np.std(intra_l2))
     clamped = False
-    low_confidence = len(intra_l2) < 2 or len(inter_l2) < 2
-    if inter_l2:
-        closest_impostor = min(inter_l2)
-        if closest_impostor <= max(intra_l2):
+    low_confidence = len(legitimate) < 2 or len(impostor) < 2
+    if impostor:
+        closest_impostor = float(_row_l2(differences(impostor)[0]).min())
+        if closest_impostor <= intra_l2.max():
             low_confidence = True
         if l2_threshold >= closest_impostor:
             l2_threshold = closest_impostor - CLAMP_EPSILON
             clamped = True
     return VerifyPolicy(
         looseness=looseness,
-        lhd_threshold=int(max(intra_lhd)),
+        lhd_threshold=int(intra_lhd.max()),
         l2_threshold=l2_threshold,
         clamped=clamped,
         low_confidence=low_confidence,

@@ -53,6 +53,14 @@ def test_count_crps_subsets(capsys):
     assert f"distinguishable: {chip_crp_total(3, 11, 66)}" in out
 
 
+@pytest.mark.parametrize("subsets", ["0", "-2"])
+def test_count_crps_rejects_subsets_below_one(capsys, subsets):
+    assert main(["count-crps", "--subsets", subsets]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: subset_count must be >= 1" in captured.err
+
+
 def test_fabricate_and_carve(tmp_path, capsys):
     chip_path = tmp_path / "chip.json"
     code, out = run_cli(capsys, "fabricate", "--seed", "5", "--mzis", "20",
@@ -105,6 +113,25 @@ def enrolled(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     return db_path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: {**p, "columns": None},
+    lambda p: {**p, "slots": None},
+    lambda p: {k: v for k, v in p.items() if k != "chip_digest"},
+    lambda p: [p],
+], ids=["null-columns", "null-slots", "no-chip-digest", "list"])
+def test_enroll_with_a_bad_device_file_is_an_error(tmp_path, capsys, edit):
+    chip_path, device_path = tmp_path / "chip.json", tmp_path / "device.json"
+    main(["fabricate", "--seed", "5", "--mzis", "20", "--out", str(chip_path)])
+    main(["carve", "--chip", str(chip_path), "--preset", "small-pair",
+          "--out", str(device_path)])
+    device_path.write_text(json.dumps(edit(json.loads(device_path.read_text()))))
+    capsys.readouterr()
+    assert main(["enroll", "--chip", str(chip_path), "--device", str(device_path),
+                 "--db", str(tmp_path / "db.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "db.jsonl").exists()
 
 
 def test_enroll_writes_database(enrolled):

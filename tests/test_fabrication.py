@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mzipuf import fabrication
 from mzipuf.fabrication import (
     COUPLER_SIGMA,
     GROUND_LOOP_SCALE,
@@ -180,6 +181,37 @@ def test_device_save_load_round_trip(tmp_path):
     assert loaded.descriptor_digest() == device.descriptor_digest()
     with pytest.raises(ValueError):
         load_device(path, small_chip(seed=92))
+
+
+BAD_DEVICE_FILES = {
+    "null-columns": (lambda p: {**p, "columns": None}, "_DeviceFile.columns"),
+    "null-slots": (lambda p: {**p, "slots": None}, "_DeviceFile.slots"),
+    "no-chip-digest": (lambda p: {k: v for k, v in p.items() if k != "chip_digest"},
+                       "_DeviceFile.chip_digest is missing"),
+    "list": (lambda p: [p], "not a device descriptor: format=None"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_DEVICE_FILES.values(), ids=BAD_DEVICE_FILES)
+def test_load_device_rejects_bad_descriptors(tmp_path, edit, message):
+    chip = small_chip(seed=91)
+    path = tmp_path / "device.json"
+    save_device(carve_device(chip, 4, tuple(range(10))), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
+        load_device(path, chip)
+
+
+def test_chip_digest_is_computed_once(monkeypatch):
+    chip = small_chip()
+    first = chip.digest()
+    assert first == small_chip().digest()
+
+    def no_payload(chip):
+        raise AssertionError("digest() encoded the chip again")
+
+    monkeypatch.setattr(fabrication, "_chip_payload", no_payload)
+    assert chip.digest() == first
 
 
 def test_shared_mzi_count():

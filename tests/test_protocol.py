@@ -191,6 +191,18 @@ def test_issue_skips_preconsumed_records():
     assert sorted(seen) == list(range(1, 400, 2))
 
 
+def test_issue_never_repeats_a_record_consumed_elsewhere():
+    db = make_db([(i,) for i in range(3)])
+    rng = np.random.default_rng(0)
+    first = issue_challenge(db, rng).challenge_id
+    elsewhere = min(set(range(3)) - {first})
+    db.records[elsewhere].consumed = True
+    last = issue_challenge(db, rng).challenge_id
+    assert {first, elsewhere, last} == {0, 1, 2}
+    with pytest.raises(ExhaustedDatabaseError):
+        issue_challenge(db, rng)
+
+
 def test_issue_order_reproducible_with_seeded_rng():
     # identical databases issued with identically seeded rngs agree
     db_a = make_db([(i,) for i in range(50)])
@@ -316,6 +328,8 @@ def test_calibrate_flags_overlap_and_thin_samples():
     single = [(0, QuantizedResponse(bins=(1, 0, 0, 0)))]
     assert calibrate_policy(db, single, overlapping_impostors).low_confidence
     assert calibrate_policy(db, near, []).low_confidence
+    with pytest.raises(ValueError, match="looseness"):
+        calibrate_policy(db, near, [], looseness=0)
     with pytest.raises(ValueError):
         calibrate_policy(db, [], overlapping_impostors)
 
