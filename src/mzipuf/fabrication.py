@@ -17,8 +17,9 @@ response.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,6 +45,10 @@ GROUND_LOOP_SCALE = 10.0 ** (GROUND_LOOP_DB / 20.0)
 # 16) coefficient tensor; at 32 they stay under 1 MB on the 66-MZI mesh,
 # while larger blocks no longer run faster.
 MEASURE_BLOCK = 32
+
+# the largest chance, per mode and measurement, that one of its snapshots
+# clips while the noise sampler draws its mean as a single normal
+_CLIP_BOUND = 1e-6
 
 CHIP_FORMAT = "mzipuf-chip/1"
 DEVICE_FORMAT = "mzipuf-device/1"
@@ -406,6 +411,12 @@ class NoiseConfig:
     a slow per-mode coupling drift shared by all snapshots of a measurement
     index (bounded random walk, reflected at +-drift bound), and additive
     detector noise; negative snapshot values clip to zero.
+
+    The average is sampled, not summed snapshot by snapshot: a snapshot is
+    normal before clipping, so a mode whose snapshots clip with total
+    probability at most 1e-6 gets its mean as one normal draw, exact in
+    distribution up to that probability; the other, near-dark modes average
+    samples_per_response clipped snapshots.  _noisy_mean has the details.
     """
 
     enabled: bool = True
@@ -492,24 +503,56 @@ class RawResponse:
     measurement_index: int = 0
 
 
-def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -> np.ndarray:
-    """Mean of the configured snapshots of an ideal intensity vector.
+@cache
+def _one_draw_threshold(samples: int) -> float:
+    """The smallest z (to 1e-12) with samples * Phi(-z) <= _CLIP_BOUND.
 
-    Each snapshot is clip(drift * (1 + jitter) * ideal + detector, 0),
-    computed in place in that operation order.
+    A mode whose mean is at least z standard deviations above zero clips
+    in any of its samples snapshots with probability at most _CLIP_BOUND.
+    """
+    target = 2.0 * _CLIP_BOUND / samples
+    low, high = 0.0, 40.0
+    while high - low > 1e-12:
+        mid = 0.5 * (low + high)
+        if math.erfc(mid / math.sqrt(2.0)) > target:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -> np.ndarray:
+    """Mean of S = samples_per_response noisy snapshots of an ideal vector.
+
+    Before clipping, a snapshot drift * (1 + jitter) * ideal + detector is
+    normal with mean mu = drift * ideal and variance sigma**2 =
+    (mu * jitter_sigma)**2 + detector_sigma**2.  Where mu >= z * sigma, with
+    S * Phi(-z) = _CLIP_BOUND, the chance that any of the S snapshots clips
+    is at most _CLIP_BOUND, and short of that event their mean is exactly
+    N(mu, sigma**2 / S).  Such a mode takes one draw, max(mu + sigma /
+    sqrt(S) * z, 0), exact in distribution up to _CLIP_BOUND.  Every other
+    mode averages S clipped snapshots max(mu + sigma * z, 0).  Draw order
+    within the index's substream: one normal per mode, for every mode, then
+    the (other modes, S) snapshot block.
     """
     cfg = noise.config
+    samples = cfg.samples_per_response
     rng = noise.measurement_rng(measurement_index)
-    drift = noise.drift_factors(measurement_index)
-    shape = (cfg.samples_per_response, noise.mode_count)
-    snapshots = rng.normal(0.0, cfg.coupling_jitter_sigma, shape)
-    detector = rng.normal(0.0, cfg.detector_sigma, shape)
-    snapshots += 1.0
-    np.multiply(drift, snapshots, out=snapshots)
-    snapshots *= ideal
-    snapshots += detector
-    np.clip(snapshots, 0.0, None, out=snapshots)
-    return snapshots.mean(axis=0)
+    mean = noise.drift_factors(measurement_index) * ideal
+    sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
+    out = rng.standard_normal(noise.mode_count)
+    out *= sigma / math.sqrt(samples)
+    out += mean
+    np.maximum(out, 0.0, out=out)
+    dark = mean < _one_draw_threshold(samples) * sigma
+    if dark.any():
+        # one row of snapshots per mode: a row mean reduces contiguous memory
+        snapshots = rng.standard_normal((int(dark.sum()), samples))
+        snapshots *= sigma[dark, None]
+        snapshots += mean[dark, None]
+        np.maximum(snapshots, 0.0, out=snapshots)
+        out[dark] = snapshots.mean(axis=1)
+    return out
 
 
 def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None, indices):
@@ -561,9 +604,10 @@ def measure(
     """Drive the device with a challenge and read averaged output power.
 
     With noise=None (or a stream whose config is disabled) this returns the
-    ideal propagation result.  Otherwise each of the configured snapshots
-    sees drift, jitter, and detector noise before averaging.  This is the
-    one-challenge case of measure_batch.
+    ideal propagation result.  Otherwise it returns the average of the
+    configured snapshots under drift, jitter, and detector noise, sampled
+    as NoiseConfig describes.  This is the one-challenge case of
+    measure_batch.
     """
     intensities = measure_batch(device, [challenge], noise, [measurement_index])[0]
     return RawResponse(

@@ -32,9 +32,9 @@ def sha256_of(path) -> str:
 
 @pytest.mark.parametrize("config, digest", [
     (small_pair_config(challenge_count=40, repeat_count=6),
-     "766f85ed0c2cdf881d8448103328be8383649ed446a52f9993069b1700b5b80d"),
+     "84f0f29970bcb9899e8f391a9fdb1d8d4457a49101e97e3020580cfffcafadcf"),
     (large_pair_config(challenge_count=12, repeat_count=5),
-     "b10a497b74e73fced5c59b4ac2e2ae7044e51f0dcdb5973a7aa464d412001395"),
+     "d33e48ac77e6da7ad44e8618964b757065b601d6602e662982569881fd8de556"),
 ], ids=["small-pair-noisy", "large-pair"])
 def test_experiment_manifest_is_pinned(tmp_path, config, digest):
     run_pair_experiment(replace(config, output_dir=str(tmp_path)))
@@ -46,7 +46,7 @@ def test_enrolled_database_is_pinned(tmp_path):
     db = enroll(device, challenge_count=8, repeats_per_challenge=3, rng_seed=5)
     db.save(tmp_path / "crp.jsonl")
     assert sha256_of(tmp_path / "crp.jsonl") == (
-        "d403537a57de84b909a3d92bd8094df6ffa560cab91902b2e8bbb2f0446db7ff"
+        "44e3baa34345a588a9f0e28f5db426714c895c4befd615921a12e026c28cab6c"
     )
 
 
@@ -75,12 +75,12 @@ def test_calibrated_database_with_an_issued_record_is_pinned(tmp_path):
             for cid in range(4)
         ])
     db.policy = calibrate_policy(db, *samples)
-    assert not db.policy.clamped and db.policy.lhd_threshold == 1
+    assert not db.policy.clamped and db.policy.lhd_threshold == 0
     issue_challenge(db, np.random.default_rng(11))
     db.save(tmp_path / "crp.jsonl")
     assert sum(r.consumed for r in db.records.values()) == 1
     assert sha256_of(tmp_path / "crp.jsonl") == (
-        "e6a021f500a2c44b674af4e1702db53d70fbcca12dcd4bb3138b6da96e0d5e7f"
+        "f312ccb975b0a514954868a785ed1f756841a1edf5502a270167e64c781eb707"
     )
 
 
