@@ -35,12 +35,12 @@ from .metrics import (
     DistanceStats,
     LoosenessSweep,
     _pair_differences,
+    _quantize_rows,
     _row_l2,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,
     looseness_sweep,
-    quantize,
 )
 
 CONFIG_FORMAT = "mzipuf-experiment-config/1"
@@ -187,10 +187,8 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     ]
 
     def responses(device, stream, batch, indices):
-        return [
-            quantize(raw, config.bin_fraction)
-            for raw in measure_batch(device, batch, stream, indices).reshape(-1, modes)
-        ]
+        measured = measure_batch(device, batch, stream, indices)
+        return _quantize_rows(measured.reshape(-1, modes), config.bin_fraction)
 
     # one |diff| row per mirrored pair: row i compares A and B on challenge i
     count = config.challenge_count

@@ -336,7 +336,7 @@ class Challenge:
     def random(cls, rng: np.random.Generator, mzi_count: int, bits: int = 10,
                v2pi_nominal: float = V2PI_NOMINAL) -> "Challenge":
         levels = rng.integers(0, 2**bits, size=mzi_count)
-        return cls(levels=tuple(int(q) for q in levels), bits=bits, v2pi_nominal=v2pi_nominal)
+        return cls(levels=levels.tolist(), bits=bits, v2pi_nominal=v2pi_nominal)
 
     @classmethod
     def from_voltages(cls, volts, bits: int = 10,
@@ -559,8 +559,8 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     """Averaged output power of many measurements.
 
     challenges is a sequence of N Challenges or voltage vectors, and
-    indices has shape (N,) or (N, R): challenge i is measured at every
-    measurement index of row i.  Returns intensities of shape
+    indices, of an integer dtype, has shape (N,) or (N, R): challenge i is
+    measured at every measurement index of row i.  Returns intensities of shape
     indices.shape + (modes,), where entry [i] (or [i, r]) equals
     measure(device, challenges[i], noise, index).intensities bit for bit.
 
@@ -580,6 +580,8 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
             f"{len(challenges)} challenges need indices of shape (N,) or (N, R) "
             f"with N = {len(challenges)}, got shape {indices.shape}"
         )
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"measurement indices must be integers, got dtype {indices.dtype}")
     rows = indices.reshape(len(indices), -1)
     out = np.empty(rows.shape + (modes,))
     for start in range(0, len(rows), MEASURE_BLOCK):

@@ -54,23 +54,42 @@ def quantize(raw, bin_fraction: float = DEFAULT_BIN_FRACTION) -> QuantizedRespon
 
     Accepts a measurement record with an ``intensities`` attribute or a bare
     vector.  Each coordinate maps to floor(I_k / (bin_fraction * total)), so
-    the result is invariant under rescaling the whole vector.  A vector with
-    no power at all is degenerate and raises DegenerateResponseError.
+    the result is invariant under rescaling the whole vector; a ratio within
+    _FLOOR_GUARD below a whole number lands in that number's bin.  Checks
+    raise ValueError in this order: an empty or not 1-D vector, a non-finite
+    value, bin_fraction outside (0, 1], a negative value.  A vector with no
+    power at all is degenerate and raises DegenerateResponseError.  This is
+    the one-row case of _quantize_rows, which quantizes a whole measurement
+    block at once.
     """
     intensities = np.asarray(getattr(raw, "intensities", raw), dtype=float)
     if intensities.ndim != 1 or intensities.size == 0:
         raise ValueError("expected a non-empty 1-D intensity vector")
+    return _quantize_rows(intensities[None, :], bin_fraction)[0]
+
+
+def _quantize_rows(intensities, bin_fraction: float) -> list[QuantizedResponse]:
+    """quantize applied to every row of a non-empty (N, modes) matrix.
+
+    The checks of quantize run once over the whole block, in its order
+    (finite, bin_fraction, non-negative, total power), so a block with
+    several faults raises the first failing check over all rows.
+    """
+    # C order: each row is then summed exactly as a 1-D vector's sum() sums it
+    intensities = np.ascontiguousarray(intensities, dtype=float)
     if not np.isfinite(intensities).all():
         raise ValueError("intensities must be finite")
     if not 0.0 < bin_fraction <= 1.0:
         raise ValueError(f"bin_fraction must lie in (0, 1], got {bin_fraction}")
-    if np.any(intensities < 0.0):
+    if intensities.min() < 0.0:
         raise ValueError("intensities must be non-negative")
-    total = float(intensities.sum())
-    if total <= 0.0:
+    totals = intensities.sum(axis=1)
+    if totals.min() <= 0.0:
         raise DegenerateResponseError("all-dark response: total power is zero")
-    bins = np.floor(intensities / (bin_fraction * total) + _FLOOR_GUARD).astype(int)
-    return QuantizedResponse(bins=tuple(int(b) for b in bins), bin_fraction=bin_fraction)
+    ratios = intensities / (bin_fraction * totals[:, None])
+    ratios += _FLOOR_GUARD
+    bins = np.floor(ratios, out=ratios).astype(int).tolist()
+    return [QuantizedResponse(bins=row, bin_fraction=bin_fraction) for row in bins]
 
 
 def _check_comparable(a: QuantizedResponse, b: QuantizedResponse) -> None:

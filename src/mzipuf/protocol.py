@@ -24,11 +24,11 @@ from .metrics import (
     QuantizedResponse,
     _check_looseness,
     _pair_differences,
+    _quantize_rows,
     _row_l2,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,
-    quantize,
 )
 
 DB_FORMAT = "mzipuf-crpdb/1"
@@ -239,16 +239,20 @@ def enroll(
     ]
     indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
     measured = measure_batch(device, challenges, stream, indices)
-    for cid, (challenge, raws) in enumerate(zip(challenges, measured)):
-        reference = quantize(np.mean(raws, axis=0), bin_fraction)
-        repeats = [quantize(raw, bin_fraction) for raw in raws]
-        diff, _ = _pair_differences([reference] * len(repeats), repeats)
+    references = _quantize_rows(np.mean(measured, axis=1), bin_fraction)
+    repeats = _quantize_rows(measured.reshape(-1, device.layout.mode_count), bin_fraction)
+    # row cid of repeat_l2 holds the distances of challenge cid's repeats
+    diff, _ = _pair_differences(
+        [ref for ref in references for _ in range(repeats_per_challenge)], repeats
+    )
+    repeat_l2 = _row_l2(diff).reshape(challenge_count, repeats_per_challenge)
+    for cid, (challenge, reference) in enumerate(zip(challenges, references)):
         db.add(
             CrpRecord(
                 challenge_id=cid,
                 challenge=challenge,
                 reference=reference,
-                repeat_stats=distance_stats(_row_l2(diff)),
+                repeat_stats=distance_stats(repeat_l2[cid]),
             )
         )
     db.collision_pairs = audit_collisions(db).pair_count

@@ -26,6 +26,7 @@ from mzipuf.fabrication import (
     load_chip,
     load_device,
     measure,
+    measure_batch,
     preset_by_name,
     save_chip,
     save_device,
@@ -246,6 +247,12 @@ def test_challenge_digest_and_random():
     assert r1 == r2
     assert len(r1.levels) == 10
     assert all(0 <= q < 1024 for q in r1.levels)
+    # one integer draw per challenge, so a challenge set replays draw by draw
+    rng, replay = np.random.default_rng(6), np.random.default_rng(6)
+    for mzi_count in (1, 10, 66):
+        levels = Challenge.random(rng, mzi_count, bits=6).levels
+        assert levels == tuple(int(q) for q in replay.integers(0, 2**6, size=mzi_count))
+        assert all(type(q) is int for q in levels)
 
 
 def test_challenge_from_voltages_round_trip():
@@ -352,6 +359,33 @@ def test_measure_records_index():
     device = carve_device(chip, 4, tuple(range(10)))
     ch = Challenge(levels=(0,) * 10)
     assert measure(device, ch, measurement_index=7).measurement_index == 7
+
+
+@pytest.mark.parametrize("index", [2.7, 2.0, np.float64(3.0), True])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_measure_rejects_non_integer_index(index, noisy):
+    device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
+    stream = NoiseStream(1, mode_count=8) if noisy else None
+    message = f"measurement indices must be integers, got dtype {np.asarray([index]).dtype}"
+    with pytest.raises(ValueError, match=message):
+        measure(device, Challenge(levels=(0,) * 10), stream, index)
+
+
+@pytest.mark.parametrize("indices", [
+    np.array([0.0, 1.0, 2.5]), np.array([[0.0, 1.0]] * 3), np.array([True, False, True]),
+])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_measure_batch_rejects_non_integer_indices(indices, noisy):
+    device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
+    stream = NoiseStream(1, mode_count=8) if noisy else None
+    challenges = [Challenge(levels=(q,) * 10) for q in (0, 5, 9)]
+    with pytest.raises(ValueError, match=f"got dtype {indices.dtype}"):
+        measure_batch(device, challenges, stream, indices)
+    for dtype in (np.int32, np.uint16):  # integer indices of any width measure alike
+        assert np.array_equal(
+            measure_batch(device, challenges, stream, indices.astype(dtype)),
+            measure_batch(device, challenges, stream, indices.astype(np.int64)),
+        )
 
 
 def test_measure_rejects_mismatched_stream():

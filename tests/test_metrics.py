@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzipuf.metrics import (
+    _FLOOR_GUARD,
     DEFAULT_BIN_FRACTION,
     DegenerateResponseError,
     LoosenessSweep,
     QuantizedResponse,
     _pair_differences,
+    _quantize_rows,
     _row_l2,
     aggregate_uniqueness,
     distance_stats,
@@ -363,3 +365,134 @@ def test_uniqueness_memory_grows_with_n_not_pairs():
     # 1500 x 66 int64 bins are 0.8 MB; the 1.1 million pairs would need 0.6 GB
     assert peak < 8e6
     assert 0.0 < value < 100.0
+
+
+def reference_quantize(row, bin_fraction):
+    """The one-vector formula, as a loop oracle the row kernel must match bit for bit."""
+    row = np.asarray(row, dtype=float)
+    total = float(row.sum())
+    bins = np.floor(row / (bin_fraction * total) + _FLOOR_GUARD).astype(int)
+    return tuple(int(b) for b in bins)
+
+
+BIN_FRACTIONS = (0.005, 0.01, 0.02, 0.125, 0.5, 1.0)
+
+
+def intensity_blocks():
+    """(block, bin_fraction): N in [1, 70] rows of 1-130 modes, in any layout.
+
+    Up to 130 modes crosses numpy's 8- and 128-element pairwise-sum blocks.
+    Row kinds: edge rows hold whole numbers of bins (1 / bin_fraction of
+    them, times a scale), so every ratio sits on a bin edge up to rounding;
+    guard rows put their first mode k - _FLOOR_GUARD bins high, where the
+    last bit of the row total decides the bin, so a total summed in another
+    order shows; dark rows have zeros among random powers.  Layouts: C
+    order, Fortran order, every other column of a wider block, and the
+    transpose of a (modes, N) block.
+    """
+    return st.tuples(
+        st.integers(1, 70), st.integers(1, 130), st.integers(0, 2**32 - 1),
+        st.sampled_from(BIN_FRACTIONS), st.sampled_from(["edges", "guard", "dark", "mixed"]),
+        st.sampled_from(["c", "fortran", "strided", "transposed"]),
+    ).map(lambda args: _build_block(*args))
+
+
+def _build_block(n, modes, seed, bin_fraction, rows, layout):
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(1e-3, 1e3, size=(n, 1))
+    edges = rng.multinomial(round(1 / bin_fraction), np.full(modes, 1 / modes), size=n) * scale
+    random = rng.uniform(0.1, 1.0, size=(n, modes)) * scale
+    guard = random.copy()
+    if modes > 1:
+        whole = rng.integers(1, round(1 / bin_fraction) + 1, size=n)
+        share = (whole - _FLOOR_GUARD) * bin_fraction
+        guard[:, 0] = share / (1.0 - share) * guard[:, 1:].sum(axis=1)
+    dark = np.where(rng.uniform(size=(n, modes)) < 0.5, 0.0, random)
+    dark[:, rng.integers(modes)] += scale[:, 0]  # no row all dark
+    kinds = ["edges", "guard", "dark"]
+    kind = rng.integers(3, size=(n, 1)) if rows == "mixed" else kinds.index(rows)
+    block = np.choose(kind, [edges, guard, dark])
+    if layout == "fortran":
+        block = np.asfortranarray(block)
+    elif layout == "strided":
+        wide = np.empty((n, 2 * modes))
+        wide[:, ::2] = block
+        block = wide[:, ::2]
+    elif layout == "transposed":
+        block = np.ascontiguousarray(block.T).T
+    return block, bin_fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=intensity_blocks())
+def test_quantize_rows_equals_quantize_per_row(case):
+    block, bin_fraction = case
+    expected = [quantize(row, bin_fraction) for row in block]
+    assert _quantize_rows(block, bin_fraction) == expected
+    assert [q.bins for q in expected] == [reference_quantize(row, bin_fraction) for row in block]
+
+
+# fault: (modes set, value, the exception and message of the one-vector path)
+SINGLE_FAULTS = {
+    "nan": (1, np.nan, ValueError, "intensities must be finite"),
+    "inf": (0, np.inf, ValueError, "intensities must be finite"),
+    "negative": (2, -1e-12, ValueError, "intensities must be non-negative"),
+    "all-dark": (slice(None), 0.0, DegenerateResponseError,
+                 "all-dark response: total power is zero"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_quantize_rows_single_fault_raises_as_one_row(fault, where):
+    modes, value, error, message = SINGLE_FAULTS[fault]
+    block = np.random.default_rng(where).uniform(0.1, 1.0, size=(10, 8))
+    block[where, modes] = value
+    for quantize_block in (lambda: quantize(block[where]),
+                           lambda: _quantize_rows(block, DEFAULT_BIN_FRACTION)):
+        with pytest.raises(ValueError) as raised:
+            quantize_block()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("bin_fraction", [0.0, -0.1, 1.5, np.nan])
+def test_quantize_rows_bad_bin_fraction_raises_as_one_row(bin_fraction):
+    block = np.random.default_rng(1).uniform(0.1, 1.0, size=(10, 8))
+    with pytest.raises(ValueError) as one_row:
+        quantize(block[0], bin_fraction)
+    with pytest.raises(ValueError) as whole:
+        _quantize_rows(block, bin_fraction)
+    assert str(whole.value) == str(one_row.value) == (
+        f"bin_fraction must lie in (0, 1], got {bin_fraction}"
+    )
+
+
+def test_quantize_rows_reports_the_first_failing_check_over_the_block():
+    block = np.random.default_rng(2).uniform(0.1, 1.0, size=(6, 8))
+    block[0] = 0.0         # all dark: the last check
+    block[2, 3] = -1.0     # negative: the third
+    block[5, 1] = np.inf   # not finite: the first
+    with pytest.raises(ValueError, match="intensities must be finite"):
+        _quantize_rows(block, 0.0)
+    with pytest.raises(ValueError, match="bin_fraction must lie"):
+        _quantize_rows(block[:5], 0.0)
+    with pytest.raises(ValueError, match="intensities must be non-negative"):
+        _quantize_rows(block[:5], DEFAULT_BIN_FRACTION)
+    with pytest.raises(DegenerateResponseError, match="all-dark response"):
+        _quantize_rows(block[:2], DEFAULT_BIN_FRACTION)
+
+
+def test_quantize_rows_memory_is_linear_in_the_block():
+    block = np.random.default_rng(4).uniform(0.0, 1.0, size=(2000, 22))
+    tracemalloc.start()
+    try:
+        responses = _quantize_rows(block, DEFAULT_BIN_FRACTION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block is 0.35 MB and the peak about 1.5 MB: a few block-sized
+    # temporaries plus the 2000 responses; one (N, modes, modes) temporary
+    # alone would be 7.7 MB
+    assert peak < 3e6
+    assert len(responses) == 2000

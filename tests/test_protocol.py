@@ -13,8 +13,9 @@ from mzipuf.fabrication import (
     carve_device,
     fabricate_chip,
     measure,
+    measure_batch,
 )
-from mzipuf.metrics import QuantizedResponse, quantize
+from mzipuf.metrics import QuantizedResponse, distance_stats, euclidean_distance, quantize
 from mzipuf.protocol import (
     AuthDecision,
     CollisionReport,
@@ -89,6 +90,23 @@ def test_enroll_noise_free_reference_is_single_measurement():
         direct = quantize(measure(device, record.challenge), db.bin_fraction)
         assert record.reference == direct
         assert record.repeat_stats.max == 0.0  # identical repeats
+
+
+@pytest.mark.parametrize("repeats", range(1, 9))
+def test_enroll_quantizes_the_mean_of_each_challenges_repeats(repeats):
+    device = make_device()
+    db = enroll(device, challenge_count=6, repeats_per_challenge=repeats, rng_seed=repeats)
+    stream = NoiseStream((repeats, 11), device.layout.mode_count, NoiseConfig())
+    challenges = [db.record(cid).challenge for cid in range(6)]
+    indices = np.arange(6 * repeats).reshape(6, repeats)
+    measured = measure_batch(device, challenges, stream, indices)
+    for cid, raws in enumerate(measured):
+        record = db.record(cid)
+        assert record.reference == quantize(np.mean(raws, axis=0), db.bin_fraction)
+        distances = [
+            euclidean_distance(record.reference, quantize(raw, db.bin_fraction)) for raw in raws
+        ]
+        assert record.repeat_stats == distance_stats(distances)
 
 
 def test_enroll_argument_validation():
