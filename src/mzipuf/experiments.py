@@ -22,9 +22,9 @@ import numpy as np
 
 from ._codec import decode, encode, write_json
 from .fabrication import (
-    Challenge,
     NoiseConfig,
     NoiseStream,
+    _random_challenges,
     fabricate_chip,
     measure_batch,
     preset_by_name,
@@ -181,10 +181,9 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         stream_b = NoiseStream((config.seed, 2), modes, config.noise)
 
     challenge_rng = np.random.default_rng((config.seed, 0))
-    challenges = [
-        Challenge.random(challenge_rng, device_a.layout.mzi_count)
-        for _ in range(config.challenge_count)
-    ]
+    challenges = _random_challenges(
+        challenge_rng, config.challenge_count, device_a.layout.mzi_count
+    )
 
     def responses(device, stream, batch, indices):
         measured = measure_batch(device, batch, stream, indices)

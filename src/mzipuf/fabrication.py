@@ -50,6 +50,12 @@ MEASURE_BLOCK = 32
 # clips while the noise sampler draws its mean as a single normal
 _CLIP_BOUND = 1e-6
 
+# measurements sampled together by _noisy_block.  Its largest temporary is
+# the packed (near-dark modes, S) snapshot buffer, about 0.3 MB per 8
+# large-pair measurements at S = 1000; larger chunks grow the peak memory
+# without running faster.
+_NOISE_CHUNK = 8
+
 CHIP_FORMAT = "mzipuf-chip/1"
 DEVICE_FORMAT = "mzipuf-device/1"
 
@@ -335,8 +341,7 @@ class Challenge:
     @classmethod
     def random(cls, rng: np.random.Generator, mzi_count: int, bits: int = 10,
                v2pi_nominal: float = V2PI_NOMINAL) -> "Challenge":
-        levels = rng.integers(0, 2**bits, size=mzi_count)
-        return cls(levels=levels.tolist(), bits=bits, v2pi_nominal=v2pi_nominal)
+        return _random_challenges(rng, 1, mzi_count, bits, v2pi_nominal)[0]
 
     @classmethod
     def from_voltages(cls, volts, bits: int = 10,
@@ -350,6 +355,18 @@ class Challenge:
                 raise ValueError(f"voltage {v} is not on the {bits}-bit challenge grid")
             levels.append(int(nearest))
         return cls(levels=tuple(levels), bits=bits, v2pi_nominal=v2pi_nominal)
+
+
+def _random_challenges(rng: np.random.Generator, count: int, mzi_count: int, bits: int = 10,
+                       v2pi_nominal: float = V2PI_NOMINAL) -> list[Challenge]:
+    """count random Challenges from one (count, mzi_count) integer draw.
+
+    numpy's Generator.integers draws a matrix element by element, so the
+    levels, and the generator state after them, equal those of count
+    Challenge.random calls in a row.
+    """
+    levels = rng.integers(0, 2**bits, size=(count, mzi_count)).tolist()
+    return [Challenge(levels=row, bits=bits, v2pi_nominal=v2pi_nominal) for row in levels]
 
 
 def _drive_voltages(challenges) -> np.ndarray:
@@ -476,19 +493,25 @@ class NoiseStream:
         if self.mode_count < 1:
             raise ValueError("mode_count must be >= 1")
         self._drift_rng = np.random.default_rng((*self.seed, 1))
-        self._drift_walk = [np.zeros(self.mode_count)]
+        # the walk's latest position, and 1 + position at every index so far
+        self._walk_end = np.zeros(self.mode_count)
+        self._drift = [1.0 + self._walk_end]
 
     def drift_factors(self, measurement_index: int) -> np.ndarray:
         """Per-mode coupling drift multiplier at a measurement index."""
-        if measurement_index < 0:
+        return self._drift_rows([measurement_index])[0]
+
+    def _drift_rows(self, indices) -> np.ndarray:
+        """drift_factors at each of a list of indices, as a (len(indices),
+        modes) matrix; the walk is extended once, to the largest index."""
+        if min(indices) < 0:
             raise ValueError("measurement_index must be >= 0")
         cfg = self.config
-        while len(self._drift_walk) <= measurement_index:
+        while len(self._drift) <= max(indices):
             step = self._drift_rng.normal(0.0, cfg.coupling_drift_step, self.mode_count)
-            self._drift_walk.append(
-                _reflect(self._drift_walk[-1] + step, cfg.coupling_drift_bound)
-            )
-        return 1.0 + self._drift_walk[measurement_index]
+            self._walk_end = _reflect(self._walk_end + step, cfg.coupling_drift_bound)
+            self._drift.append(1.0 + self._walk_end)
+        return np.array([self._drift[i] for i in indices])
 
     def measurement_rng(self, measurement_index: int) -> np.random.Generator:
         return np.random.default_rng((*self.seed, 0, int(measurement_index)))
@@ -533,40 +556,69 @@ def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -
     sqrt(S) * z, 0), exact in distribution up to _CLIP_BOUND.  Every other
     mode averages S clipped snapshots max(mu + sigma * z, 0).  Draw order
     within the index's substream: one normal per mode, for every mode, then
-    the (other modes, S) snapshot block.
+    the (other modes, S) snapshot block.  This is the one-row case of
+    _noisy_block.
+    """
+    out = np.empty((1, len(ideal)))
+    _noisy_block(ideal[None, :], noise, [measurement_index], out)
+    return out[0]
+
+
+def _noisy_block(ideal: np.ndarray, noise: NoiseStream, indices, out: np.ndarray) -> None:
+    """_noisy_mean of k measurements at once, written to the C-contiguous
+    (k, modes) out: row j of the (k, modes) ideal matrix measured at the
+    j-th of a list of k indices.
+
+    Bit for bit the rows _noisy_mean gives one at a time.  Each index draws
+    from its own substream in _noisy_mean's order: its row of one-draw
+    normals, then its near-dark rows of one packed (near-dark modes, S)
+    snapshot buffer.  Every other step is elementwise and runs once over the
+    block; each snapshot row is C-contiguous, so its mean sums as a lone
+    row's does.
     """
     cfg = noise.config
     samples = cfg.samples_per_response
-    rng = noise.measurement_rng(measurement_index)
-    mean = noise.drift_factors(measurement_index) * ideal
+    mean = noise._drift_rows(indices) * ideal
     sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
-    out = rng.standard_normal(noise.mode_count)
+    dark = mean < _one_draw_threshold(samples) * sigma
+    total = np.count_nonzero(dark)
+    # per-index counts take a slower reduction, which an all-bright block skips
+    counts = dark.sum(axis=1).tolist() if total else [0] * len(indices)
+    # one row of snapshots per near-dark mode: a row mean reduces contiguous memory
+    snapshots = np.empty((total, samples))
+    first = 0
+    for row, (index, count) in enumerate(zip(indices, counts)):
+        rng = noise.measurement_rng(index)
+        rng.standard_normal(out=out[row])
+        if count:
+            rng.standard_normal(out=snapshots[first:first + count])
+            first += count
     out *= sigma / math.sqrt(samples)
     out += mean
     np.maximum(out, 0.0, out=out)
-    dark = mean < _one_draw_threshold(samples) * sigma
-    if dark.any():
-        # one row of snapshots per mode: a row mean reduces contiguous memory
-        snapshots = rng.standard_normal((int(dark.sum()), samples))
-        snapshots *= sigma[dark, None]
-        snapshots += mean[dark, None]
+    if first:
+        snapshots *= sigma[dark][:, None]
+        snapshots += mean[dark][:, None]
         np.maximum(snapshots, 0.0, out=snapshots)
-        out[dark] = snapshots.mean(axis=1)
-    return out
+        # the arithmetic of snapshots.mean(axis=1), without its Python wrapper
+        out[dark] = np.add.reduce(snapshots, axis=1) / samples
 
 
 def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None, indices):
     """Averaged output power of many measurements.
 
     challenges is a sequence of N Challenges or voltage vectors, and
-    indices, of an integer dtype, has shape (N,) or (N, R): challenge i is
-    measured at every measurement index of row i.  Returns intensities of shape
-    indices.shape + (modes,), where entry [i] (or [i, r]) equals
-    measure(device, challenges[i], noise, index).intensities bit for bit.
+    indices, of an integer dtype and all >= 0, has shape (N,) or (N, R):
+    challenge i is measured at every measurement index of row i.  Returns
+    intensities of shape indices.shape + (modes,), where entry [i] (or
+    [i, r]) equals measure(device, challenges[i], noise, index).intensities
+    bit for bit.
 
     Challenges are propagated MEASURE_BLOCK at a time, and a challenge
-    measured at R indices is propagated once.  Noise is applied per index
-    from that index's own substream, as measure does.
+    measured at R indices is propagated once.  The block's measurements,
+    challenge by challenge and repeat by repeat, are then sampled
+    _NOISE_CHUNK at a time by _noisy_block, each index from its own
+    substream, as measure does.
     """
     indices = np.asarray(indices)
     modes = device.layout.mode_count
@@ -582,7 +634,11 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
         )
     if indices.dtype.kind not in "iu":
         raise ValueError(f"measurement indices must be integers, got dtype {indices.dtype}")
+    flat_indices = indices.ravel().tolist()
+    if flat_indices and min(flat_indices) < 0:
+        raise ValueError(f"measurement indices must be >= 0, got {min(flat_indices)}")
     rows = indices.reshape(len(indices), -1)
+    repeats = rows.shape[1]
     out = np.empty(rows.shape + (modes,))
     for start in range(0, len(rows), MEASURE_BLOCK):
         stop = start + MEASURE_BLOCK
@@ -591,9 +647,12 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
         if not noisy:
             out[start:stop] = ideal[:, None, :]
             continue
-        for i, row in enumerate(ideal, start):
-            for r, index in enumerate(rows[i]):
-                out[i, r] = _noisy_mean(row, noise, int(index))
+        ideal = ideal.repeat(repeats, axis=0)
+        block = out[start:stop].reshape(-1, modes)
+        block_indices = flat_indices[start * repeats:stop * repeats]
+        for first in range(0, len(block), _NOISE_CHUNK):
+            last = first + _NOISE_CHUNK
+            _noisy_block(ideal[first:last], noise, block_indices[first:last], block[first:last])
     return out.reshape(indices.shape + (modes,))
 
 

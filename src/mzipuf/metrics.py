@@ -73,7 +73,8 @@ def _quantize_rows(intensities, bin_fraction: float) -> list[QuantizedResponse]:
 
     The checks of quantize run once over the whole block, in its order
     (finite, bin_fraction, non-negative, total power), so a block with
-    several faults raises the first failing check over all rows.
+    several faults raises the first failing check over all rows.  The
+    responses skip QuantizedResponse's own checks, which these cover.
     """
     # C order: each row is then summed exactly as a 1-D vector's sum() sums it
     intensities = np.ascontiguousarray(intensities, dtype=float)
@@ -89,7 +90,18 @@ def _quantize_rows(intensities, bin_fraction: float) -> list[QuantizedResponse]:
     ratios = intensities / (bin_fraction * totals[:, None])
     ratios += _FLOOR_GUARD
     bins = np.floor(ratios, out=ratios).astype(int).tolist()
-    return [QuantizedResponse(bins=row, bin_fraction=bin_fraction) for row in bins]
+    return [_unchecked_response(tuple(row), bin_fraction) for row in bins]
+
+
+def _unchecked_response(bins: tuple[int, ...], bin_fraction: float) -> QuantizedResponse:
+    """A QuantizedResponse built without __post_init__, for a tuple of
+    Python ints and a bin_fraction that have passed its checks already."""
+    response = object.__new__(QuantizedResponse)
+    # as the frozen dataclass's __init__ sets fields; reading __dict__ instead
+    # would give every response a dict of its own, about 180 bytes more
+    object.__setattr__(response, "bins", bins)
+    object.__setattr__(response, "bin_fraction", bin_fraction)
+    return response
 
 
 def _check_comparable(a: QuantizedResponse, b: QuantizedResponse) -> None:

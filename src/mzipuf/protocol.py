@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import check_format, decode, encode
-from .fabrication import Challenge, DeviceInstance, NoiseConfig, NoiseStream, measure_batch
+from .fabrication import (
+    Challenge,
+    DeviceInstance,
+    NoiseConfig,
+    NoiseStream,
+    _random_challenges,
+    measure_batch,
+)
 from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
@@ -234,9 +241,7 @@ def enroll(
     if noise_config.enabled:
         stream = NoiseStream((int(rng_seed), 11), device.layout.mode_count, noise_config)
     db = CrpDatabase(device_digest=device.descriptor_digest(), bin_fraction=bin_fraction)
-    challenges = [
-        Challenge.random(challenge_rng, device.layout.mzi_count) for _ in range(challenge_count)
-    ]
+    challenges = _random_challenges(challenge_rng, challenge_count, device.layout.mzi_count)
     indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
     measured = measure_batch(device, challenges, stream, indices)
     references = _quantize_rows(np.mean(measured, axis=1), bin_fraction)

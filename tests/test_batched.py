@@ -2,10 +2,12 @@
 
 The references below are the per-MZI loops the batched code replaced: one
 MziSettings and one mzi_unitary product per slot, with numpy scalar
-arithmetic.  The batched results must equal them exactly, not within a
-tolerance, because experiment artifacts are compared byte for byte.
+arithmetic, and the per-index noise sampler the block sampler replaced.
+The batched results must equal them exactly, not within a tolerance,
+because experiment artifacts are compared byte for byte.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,10 +17,13 @@ from hypothesis import strategies as st
 from mzipuf.fabrication import (
     LARGE_PAIR,
     MEASURE_BLOCK,
+    SMALL_PAIR,
     Challenge,
     ChipLayoutSpec,
     NoiseConfig,
     NoiseStream,
+    _noisy_mean,
+    _one_draw_threshold,
     carve_device,
     fabricate_chip,
     measure,
@@ -67,6 +72,28 @@ def reference_measure(device, challenge):
     return reference_propagate(
         device.layout, reference_phases(device, challenge.voltages), device.slot_couplers()
     )
+
+
+def per_index_noisy_mean(ideal, noise, index):
+    """One measurement at a time, from its own substream: the sampler the
+    block sampler replaced, as a loop oracle it must match bit for bit."""
+    cfg = noise.config
+    samples = cfg.samples_per_response
+    rng = noise.measurement_rng(index)
+    mean = noise.drift_factors(index) * ideal
+    sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
+    out = rng.standard_normal(noise.mode_count)
+    out *= sigma / math.sqrt(samples)
+    out += mean
+    np.maximum(out, 0.0, out=out)
+    dark = mean < _one_draw_threshold(samples) * sigma
+    if dark.any():
+        snapshots = rng.standard_normal((int(dark.sum()), samples))
+        snapshots *= sigma[dark, None]
+        snapshots += mean[dark, None]
+        np.maximum(snapshots, 0.0, out=snapshots)
+        out[dark] = snapshots.mean(axis=1)
+    return out
 
 
 @st.composite
@@ -142,6 +169,83 @@ def test_noisy_measure_batch_matches_reference(device, seed):
     replay = NoiseStream((seed, 1), device.layout.mode_count, config)
     for row, ch, index in reversed(list(zip(batch, challenges, indices))):
         assert np.array_equal(row, measure(device, ch, replay, int(index)).intensities)
+
+
+# (N, R) index shapes, R None for an (N,) vector: N * R crosses the noise
+# chunk of 8 measurements, and N the propagation block of 32 challenges
+INDEX_SHAPES = (
+    (1, None), (7, None), (9, None), (33, None), (1, 8), (1, 9), (1, 17),
+    (3, 3), (2, 5), (4, 8), (33, 1), (34, 2),
+)
+PRESET_DEVICES = tuple(
+    preset.carve_pair(fabricate_chip(7, preset.chip_spec()))[0]
+    for preset in (SMALL_PAIR, LARGE_PAIR)
+)
+
+
+@st.composite
+def noisy_blocks(draw):
+    """(device, challenges, indices, config): a measured block whose rows are
+    all bright (no snapshot draws), all near-dark, or a mix of both."""
+    device = draw(carved_devices() | st.sampled_from(PRESET_DEVICES))
+    n, repeats = draw(st.sampled_from(INDEX_SHAPES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    challenges = random_challenges(seed, device.layout.mzi_count, n)
+    shape = (n,) if repeats is None else (n, repeats)
+    # few distinct values: indices repeat and run out of order within a block
+    size = math.prod(shape)
+    indices = np.random.default_rng(seed).integers(0, max(2, size // 2), size).reshape(shape)
+    samples = draw(st.sampled_from((1, 2, 40, 1000)))
+    ideal = measure_batch(device, challenges, None, np.zeros(n, dtype=int))
+    rows = draw(st.sampled_from(("bright", "jitter-dark", "dark", "mixed")))
+    jitter, detector = {
+        # sigma = 0.14 mu stays below mu / z: every mode takes one draw
+        "bright": (0.14, 0.0),
+        # sigma = 0.5 mu is above mu / z for every S here: all snapshots
+        "jitter-dark": (0.5, 0.0),
+        "dark": (0.14, 10.0 * float(ideal.max())),
+        # about half the modes on either side of the threshold
+        "mixed": (0.14, float(np.median(ideal)) / _one_draw_threshold(samples)),
+    }[rows]
+    config = NoiseConfig(
+        detector_sigma=detector,
+        coupling_jitter_sigma=jitter,
+        coupling_drift_step=draw(st.sampled_from((0.0, 0.005, 0.05))),
+        samples_per_response=samples,
+    )
+    return device, challenges, indices, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=noisy_blocks(), seed=st.integers(0, 2**32 - 1))
+def test_noisy_measure_batch_matches_per_index_sampler(case, seed):
+    device, challenges, indices, config = case
+    modes = device.layout.mode_count
+    batch = measure_batch(device, challenges, NoiseStream(seed, modes, config), indices)
+    ideal = measure_batch(device, challenges, None, np.zeros(len(challenges), dtype=int))
+    oracle = NoiseStream(seed, modes, config)
+    rows = indices.reshape(len(challenges), -1).tolist()
+    expected = [[per_index_noisy_mean(ideal[i], oracle, index) for index in row]
+                for i, row in enumerate(rows)]
+    assert np.array_equal(batch, np.reshape(expected, indices.shape + (modes,)))
+    # _noisy_mean is the one-row case of the block sampler
+    assert np.array_equal(_noisy_mean(ideal[0], oracle, rows[0][0]), expected[0][0])
+
+
+def test_noisy_repeat_block_memory_is_bounded():
+    # large-pair's 1 x 500 repeat block at S = 1000: only one noise chunk's
+    # snapshot buffer is live at a time (0.5 MB here; 1.3 MB at 32 a chunk)
+    device = PRESET_DEVICES[1]
+    challenge = random_challenges(0, device.layout.mzi_count, 1)
+    stream = NoiseStream((99, 1), device.layout.mode_count)
+    measure_batch(device, challenge, stream, [[499]])  # the drift walk is not part of it
+    tracemalloc.start()
+    try:
+        measure_batch(device, challenge, stream, np.arange(500)[None, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_batch_position_invariance():

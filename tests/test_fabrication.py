@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzipuf import fabrication
 from mzipuf.fabrication import (
@@ -19,6 +21,7 @@ from mzipuf.fabrication import (
     DeviceInstance,
     NoiseConfig,
     NoiseStream,
+    _random_challenges,
     carve_device,
     chain_adjacency,
     effective_voltages,
@@ -255,6 +258,22 @@ def test_challenge_digest_and_random():
         assert all(type(q) is int for q in levels)
 
 
+@settings(max_examples=80, deadline=None)
+@given(bits=st.integers(1, 32), mzi_count=st.sampled_from((1, 3, 7, 10, 66)) | st.integers(1, 80),
+       count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_random_challenges_equal_one_draw_per_challenge(bits, mzi_count, count, seed):
+    # one (count, MZIs) draw gives the levels, and leaves the generator in
+    # the state, of count draws of MZIs levels each
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    challenges = _random_challenges(rng, count, mzi_count, bits, 5.0)
+    expected = [
+        tuple(replay.integers(0, 2**bits, size=mzi_count).tolist()) for _ in range(count)
+    ]
+    assert [c.levels for c in challenges] == expected
+    assert all(c.bits == bits and c.v2pi_nominal == 5.0 for c in challenges)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_challenge_from_voltages_round_trip():
     ch = Challenge(levels=(0, 17, 512, 1023))
     assert Challenge.from_voltages(ch.voltages) == ch
@@ -386,6 +405,25 @@ def test_measure_batch_rejects_non_integer_indices(indices, noisy):
             measure_batch(device, challenges, stream, indices.astype(dtype)),
             measure_batch(device, challenges, stream, indices.astype(np.int64)),
         )
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_negative_indices_are_rejected_before_any_work(noisy, monkeypatch):
+    device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
+    stream = NoiseStream(1, mode_count=8) if noisy else None
+    challenges = [Challenge(levels=(q,) * 10) for q in (0, 5, 9)]
+
+    def forbidden(*args):
+        raise AssertionError("work done before the index check")
+
+    monkeypatch.setattr(fabrication, "propagate", forbidden)
+    monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
+    with pytest.raises(ValueError, match="measurement indices must be >= 0, got -5"):
+        measure(device, challenges[0], stream, -5)
+    with pytest.raises(ValueError, match="got -2"):
+        measure_batch(device, challenges, stream, [0, -2, 4])
+    with pytest.raises(ValueError, match="got -2"):
+        measure_batch(device, challenges, stream, [[0, 1], [3, -2], [4, 5]])
 
 
 def test_measure_rejects_mismatched_stream():

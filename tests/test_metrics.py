@@ -103,8 +103,9 @@ def test_quantized_response_validation():
     assert QuantizedResponse(bins=(np.int64(3), 2.0)).bins == (3, 2)
     with pytest.raises(ValueError):
         QuantizedResponse(bins=(1, -1))
-    with pytest.raises(ValueError):
-        QuantizedResponse(bins=(1,), bin_fraction=0.0)
+    for bin_fraction in (0.0, -0.1, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            QuantizedResponse(bins=(1,), bin_fraction=bin_fraction)
     assert len(qr(1, 2, 3)) == 3
 
 
@@ -430,6 +431,12 @@ def test_quantize_rows_equals_quantize_per_row(case):
     expected = [quantize(row, bin_fraction) for row in block]
     assert _quantize_rows(block, bin_fraction) == expected
     assert [q.bins for q in expected] == [reference_quantize(row, bin_fraction) for row in block]
+    # the kernel builds its responses without QuantizedResponse's checks
+    for response in expected:
+        public = QuantizedResponse(bins=list(response.bins), bin_fraction=bin_fraction)
+        assert response == public and hash(response) == hash(public)
+        assert type(response.bins) is tuple
+        assert all(type(b) is int for b in response.bins)
 
 
 # fault: (modes set, value, the exception and message of the one-vector path)
