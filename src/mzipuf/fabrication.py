@@ -324,9 +324,9 @@ class Challenge:
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
         top = 2**self.bits
-        for q in levels:
-            if not 0 <= q < top:
-                raise ValueError(f"level {q} outside [0, {top})")
+        if levels and (min(levels) < 0 or max(levels) >= top):
+            q = next(q for q in levels if not 0 <= q < top)  # the first offender
+            raise ValueError(f"level {q} outside [0, {top})")
 
     @property
     def voltages(self) -> np.ndarray:

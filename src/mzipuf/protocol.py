@@ -11,7 +11,10 @@ must pass.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +155,36 @@ class CrpDatabase:
 
         A record row stores its id under "id", its challenge's fields
         flattened into the row, and its reference bins under "reference"
-        (their bin fraction is the header's).
+        (their bin fraction is the header's).  A record still holding the
+        very values load decoded from a line is written as that line once
+        it is known to be the line encoding gives.
+
+        The file is written to a new file beside it that then replaces it,
+        so a crash of this process mid-write leaves the old file whole and
+        no temporary file behind.  Nothing is flushed to disk (no fsync),
+        so this does not protect against power loss.  The directory must be
+        writable, and a symlink at path is followed.  An existing file keeps
+        its permission bits, a new one gets open()'s (0666 less the umask);
+        either way the writer owns the file.
         """
         header = _DbHeader(self.device_digest, self.bin_fraction, len(self.records),
                            self.collision_pairs, self.policy)
-        to_json = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
-        with open(path, "w") as handle:
-            handle.write(to_json({"format": DB_FORMAT, **encode(header)}) + "\n")
-            for cid in sorted(self.records):
-                row = encode(self.records[cid])
-                row.update(row.pop("challenge"), id=row.pop("challenge_id"),
-                           reference=row["reference"]["bins"])
-                handle.write(to_json(row) + "\n")
+        target = os.path.realpath(path)
+        temp = os.path.join(os.path.dirname(target),
+                            f".{os.path.basename(target)}.{os.urandom(8).hex()}.tmp")
+        # the mode open(path, "w") gives a new file; the kernel applies the umask
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(_to_json({"format": DB_FORMAT, **encode(header)}) + "\n")
+                for cid in sorted(self.records):
+                    handle.write(_memo.line_of(self.records[cid]) + "\n")
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
 
     @classmethod
     def load(cls, path) -> "CrpDatabase":
@@ -173,18 +194,33 @@ class CrpDatabase:
             raise ValueError("empty database file")
         # one line parsed at a time: the parsed rows are garbage right after
         header = decode(_DbHeader, check_format(_json_object(lines[0]), DB_FORMAT, "CRP database"))
-        db = cls(header.device_digest, header.bin_fraction, policy=header.policy,
-                 collision_pairs=header.collision_pairs)
-        for row in map(_json_object, lines[1:]):
-            reference = {"bins": row.get("reference"), "bin_fraction": db.bin_fraction}
-            db.add(decode(CrpRecord, {**row, "challenge_id": row.get("id"), "challenge": row,
-                                      "reference": reference}))
+        db = cls(header.device_digest, header.bin_fraction,
+                 _memo.records(lines[1:], header.bin_fraction), header.policy,
+                 header.collision_pairs)
         if len(db) != header.record_count:
             raise ValueError(
                 f"record count mismatch: header says {header.record_count}, "
                 f"file has {len(db)}"
             )
         return db
+
+
+_to_json = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
+
+
+def _row_line(record: CrpRecord) -> str:
+    """The database line of a record, without its newline."""
+    row = encode(record)
+    row.update(row.pop("challenge"), id=row.pop("challenge_id"),
+               reference=row["reference"]["bins"])
+    return _to_json(row)
+
+
+def _decode_row(line: str, bin_fraction: float) -> CrpRecord:
+    row = _json_object(line)
+    reference = {"bins": row.get("reference"), "bin_fraction": bin_fraction}
+    return decode(CrpRecord, {**row, "challenge_id": row.get("id"), "challenge": row,
+                              "reference": reference})
 
 
 def _json_object(line: str) -> dict:
@@ -203,6 +239,70 @@ class _DbHeader:
     record_count: int
     collision_pairs: int
     policy: VerifyPolicy | None
+
+
+@dataclass(slots=True)
+class _MemoRow:
+    """A database line and the frozen values decoded from it."""
+
+    line: str
+    challenge_id: int
+    challenge: Challenge
+    reference: QuantizedResponse
+    repeat_stats: DistanceStats | None
+    consumed: bool
+    # whether line is the one encoding gives; unknown until save first asks
+    canonical: bool | None = None
+
+
+class _RowMemo:
+    """The rows of the last database file load read in this process.
+
+    records finds a row by its line and the header's bin fraction, every
+    input of the row's decode, and skips the decode.  line_of hands save
+    a row's line for a record still holding the row's very values, once
+    one encode has shown that line to be the record's.  Holding one
+    file's rows bounds the memo.
+    """
+
+    def __init__(self):
+        self._by_line: dict[tuple[str, float], _MemoRow] = {}
+        self._by_id: dict[int, _MemoRow] = {}
+
+    def records(self, lines, bin_fraction: float) -> list[CrpRecord]:
+        """Fresh records for a file's row lines; the memo keeps only their rows."""
+        rows, records = [], []
+        for line in lines:
+            row = self._by_line.get((line, bin_fraction))
+            if row is None:
+                record = _decode_row(line, bin_fraction)
+                row = _MemoRow(line, record.challenge_id, record.challenge, record.reference,
+                               record.repeat_stats, record.consumed)
+            else:
+                record = CrpRecord(row.challenge_id, row.challenge, row.reference,
+                                   row.repeat_stats, row.consumed)
+            rows.append(row)
+            records.append(record)
+        self._by_line = {(row.line, bin_fraction): row for row in rows}
+        self._by_id = {row.challenge_id: row for row in rows}
+        return records
+
+    def line_of(self, record: CrpRecord) -> str:
+        """The line save writes for record."""
+        cid = record.challenge_id
+        row = self._by_id.get(cid) if type(cid) is int else None
+        if (row is None or type(record) is not CrpRecord
+                or record.challenge is not row.challenge or record.reference is not row.reference
+                or record.repeat_stats is not row.repeat_stats or record.consumed is not row.consumed):
+            return _row_line(record)
+        if row.canonical is None:
+            line = _row_line(record)
+            row.canonical = line == row.line
+            return line
+        return row.line if row.canonical else _row_line(record)
+
+
+_memo = _RowMemo()
 
 
 def audit_collisions(db: CrpDatabase) -> CollisionReport:

@@ -274,6 +274,27 @@ def test_random_challenges_equal_one_draw_per_challenge(bits, mzi_count, count, 
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
+def reference_level_check(levels, bits):
+    """The per-level loop Challenge ran before its min/max check."""
+    top = 2**bits
+    for q in levels:
+        if not 0 <= q < top:
+            return f"level {q} outside [0, {top})"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, 12), levels=st.lists(st.integers(-5, 5000), max_size=12))
+def test_challenge_range_error_names_the_first_offender(bits, levels):
+    expected = reference_level_check(levels, bits)
+    if expected is None:
+        assert Challenge(levels=levels, bits=bits).levels == tuple(levels)
+    else:
+        with pytest.raises(ValueError) as raised:
+            Challenge(levels=levels, bits=bits)
+        assert str(raised.value) == expected
+
+
 def test_challenge_from_voltages_round_trip():
     ch = Challenge(levels=(0, 17, 512, 1023))
     assert Challenge.from_voltages(ch.voltages) == ch
