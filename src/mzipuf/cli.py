@@ -145,12 +145,10 @@ def _cmd_experiment(args) -> int:
         )
         config = builder()
     overrides = {"output_dir": args.out}
-    if args.challenges is not None:
-        overrides["challenge_count"] = args.challenges
-    if args.repeats is not None:
-        overrides["repeat_count"] = args.repeats
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    for name, value in (("challenge_count", args.challenges), ("repeat_count", args.repeats),
+                        ("seed", args.seed)):
+        if value is not None:
+            overrides[name] = value
     base_seed = args.chip_seed if args.chip_seed is not None else config.chip_seeds[0]
     if args.adversary_seed is not None:
         overrides["chip_seeds"] = (base_seed, args.adversary_seed)

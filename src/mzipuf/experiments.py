@@ -36,6 +36,7 @@ from .metrics import (
     LoosenessSweep,
     _pair_differences,
     _quantize_rows,
+    _responses,
     _row_l2,
     distance_stats,
     euclidean_distance,
@@ -152,14 +153,10 @@ def _sweep_separations(sweep: LoosenessSweep):
 
 
 def _optimal_looseness(sweep: LoosenessSweep, separations) -> int:
-    def rank(value):
-        return np.inf if value is None else value
-
-    best = max(separations, key=rank)
-    for level, value in zip(sweep.looseness_values, separations):
-        if rank(value) == rank(best):
-            return level
-    return sweep.looseness_values[0]
+    """The first looseness of largest separation; None ranks above any number."""
+    level, _ = max(zip(sweep.looseness_values, separations),
+                   key=lambda pair: np.inf if pair[1] is None else pair[1])
+    return level
 
 
 def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -175,17 +172,15 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         device_b = preset.carve_pair(chip_b)[1]
 
     modes = device_a.layout.mode_count
-    stream_a = stream_b = None
-    if config.noise.enabled:
-        stream_a = NoiseStream((config.seed, 1), modes, config.noise)
-        stream_b = NoiseStream((config.seed, 2), modes, config.noise)
+    stream_a = NoiseStream((config.seed, 1), modes, config.noise)
+    stream_b = NoiseStream((config.seed, 2), modes, config.noise)
 
     challenge_rng = np.random.default_rng((config.seed, 0))
     challenges = _random_challenges(
         challenge_rng, config.challenge_count, device_a.layout.mzi_count
     )
 
-    def responses(device, stream, batch, indices):
+    def bins(device, stream, batch, indices):
         measured = measure_batch(device, batch, stream, indices)
         return _quantize_rows(measured.reshape(-1, modes), config.bin_fraction)
 
@@ -194,11 +189,9 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     headline = config.headline_looseness
     levels = range(1, config.looseness_max + 1)
     indices = np.arange(count)
-    mirrored_pairs = list(zip(
-        responses(device_a, stream_a, challenges, indices),
-        responses(device_b, stream_b, challenges, indices),
-    ))
-    inter, inter_counts = _pair_differences(*zip(*mirrored_pairs), levels)
+    mirrored = (bins(device_a, stream_a, challenges, indices),
+                bins(device_b, stream_b, challenges, indices))
+    inter, inter_counts = _pair_differences(*mirrored, levels)
     inter_rows = tuple(zip(
         indices.tolist(),
         [challenge.digest() for challenge in challenges],
@@ -216,7 +209,8 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     intra_rows = []
     repeated_pairs = []
     for label, device, stream in (("A", device_a, stream_a), ("B", device_b, stream_b)):
-        reference, *reps = responses(device, stream, challenges[:1], repeat_indices)
+        repeats = bins(device, stream, challenges[:1], repeat_indices)
+        reference, *reps = _responses(repeats, config.bin_fraction)
         for k, rep in enumerate(reps, start=1):
             repeated_pairs.append((reference, rep))
             intra_rows.append(
@@ -252,6 +246,7 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
     if config.preset == "large-pair":
+        mirrored_pairs = zip(*(_responses(side, config.bin_fraction) for side in mirrored))
         sweep = looseness_sweep(repeated_pairs, mirrored_pairs, config.looseness_max)
         separations = _sweep_separations(sweep)
         report.sweep = sweep
@@ -274,8 +269,7 @@ def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _summary_payload(report: ExperimentReport) -> dict:

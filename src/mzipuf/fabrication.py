@@ -87,6 +87,11 @@ class ChipLayoutSpec:
     def __post_init__(self):
         if self.mzi_count < 1:
             raise ValueError(f"mzi_count must be >= 1, got {self.mzi_count}")
+        if not 0 < self.v2pi_nominal < math.inf:
+            raise ValueError(f"v2pi_nominal must be finite and > 0, got {self.v2pi_nominal}")
+        for name in ("heater_sigma", "coupler_sigma", "ground_loop_scale"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.adjacency is None:
             object.__setattr__(self, "adjacency", chain_adjacency(self.mzi_count))
         else:
@@ -448,8 +453,8 @@ class NoiseConfig:
             raise ValueError("samples_per_response must be >= 1")
         for name in ("detector_sigma", "coupling_jitter_sigma",
                      "coupling_drift_step", "coupling_drift_bound"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @classmethod
     def disabled(cls) -> "NoiseConfig":
@@ -692,10 +697,7 @@ class PairPreset:
         return replace(spec, **overrides) if overrides else spec
 
     def carve_pair(self, chip: ChipFingerprint) -> tuple[DeviceInstance, DeviceInstance]:
-        return (
-            carve_device(chip, self.columns, self.slot_maps[0]),
-            carve_device(chip, self.columns, self.slot_maps[1]),
-        )
+        return tuple(carve_device(chip, self.columns, slots) for slots in self.slot_maps)
 
 
 # Two electrically separated 10-MZI pyramids with no shared sites.

@@ -65,16 +65,16 @@ def quantize(raw, bin_fraction: float = DEFAULT_BIN_FRACTION) -> QuantizedRespon
     intensities = np.asarray(getattr(raw, "intensities", raw), dtype=float)
     if intensities.ndim != 1 or intensities.size == 0:
         raise ValueError("expected a non-empty 1-D intensity vector")
-    return _quantize_rows(intensities[None, :], bin_fraction)[0]
+    return _responses(_quantize_rows(intensities[None, :], bin_fraction), bin_fraction)[0]
 
 
-def _quantize_rows(intensities, bin_fraction: float) -> list[QuantizedResponse]:
-    """quantize applied to every row of a non-empty (N, modes) matrix.
+def _quantize_rows(intensities, bin_fraction: float) -> np.ndarray:
+    """quantize applied to every row of a non-empty (N, modes) matrix,
+    as the (N, modes) int matrix whose row i is quantize(intensities[i]).bins.
 
     The checks of quantize run once over the whole block, in its order
     (finite, bin_fraction, non-negative, total power), so a block with
-    several faults raises the first failing check over all rows.  The
-    responses skip QuantizedResponse's own checks, which these cover.
+    several faults raises the first failing check over all rows.
     """
     # C order: each row is then summed exactly as a 1-D vector's sum() sums it
     intensities = np.ascontiguousarray(intensities, dtype=float)
@@ -89,19 +89,21 @@ def _quantize_rows(intensities, bin_fraction: float) -> list[QuantizedResponse]:
         raise DegenerateResponseError("all-dark response: total power is zero")
     ratios = intensities / (bin_fraction * totals[:, None])
     ratios += _FLOOR_GUARD
-    bins = np.floor(ratios, out=ratios).astype(int).tolist()
-    return [_unchecked_response(tuple(row), bin_fraction) for row in bins]
+    return np.floor(ratios, out=ratios).astype(int)
 
 
-def _unchecked_response(bins: tuple[int, ...], bin_fraction: float) -> QuantizedResponse:
-    """A QuantizedResponse built without __post_init__, for a tuple of
-    Python ints and a bin_fraction that have passed its checks already."""
-    response = object.__new__(QuantizedResponse)
-    # as the frozen dataclass's __init__ sets fields; reading __dict__ instead
-    # would give every response a dict of its own, about 180 bytes more
-    object.__setattr__(response, "bins", bins)
-    object.__setattr__(response, "bin_fraction", bin_fraction)
-    return response
+def _responses(bins: np.ndarray, bin_fraction: float) -> list[QuantizedResponse]:
+    """One QuantizedResponse per row of a bin matrix from _quantize_rows,
+    built without __post_init__, whose checks the kernel has run."""
+    responses = []
+    for row in bins.tolist():
+        response = object.__new__(QuantizedResponse)
+        # as the frozen dataclass's __init__ sets fields; reading __dict__ instead
+        # would give every response a dict of its own, about 180 bytes more
+        object.__setattr__(response, "bins", tuple(row))
+        object.__setattr__(response, "bin_fraction", bin_fraction)
+        responses.append(response)
+    return responses
 
 
 def _check_comparable(a: QuantizedResponse, b: QuantizedResponse) -> None:
@@ -121,26 +123,28 @@ def _check_looseness(looseness) -> None:
         raise ValueError(f"looseness must be >= 1, got {looseness}")
 
 
-def _stacked_bins(responses) -> np.ndarray:
-    """(n, modes) bin matrix of responses comparable with the first one."""
-    for other in responses[1:]:
-        _check_comparable(responses[0], other)
-    return np.array([r.bins for r in responses]).reshape(len(responses), -1)
+def _stacked_bins(*sides) -> list[np.ndarray]:
+    """One (n, modes) bin matrix per side of aligned response lists.
 
-
-def _pair_differences(left, right, levels=()):
-    """Absolute bin differences of aligned response pairs, with LHD counts.
-
-    Row p compares left[p] with right[p].  Each pair must be comparable, and
-    all responses on one side must share one length and bin fraction.
-    Returns the (P, modes) integer matrix |bins_left - bins_right| and the
-    (P, len(levels)) matrix whose column k holds each row's loose Hamming
-    distance at looseness levels[k].
+    Every response must be comparable with the first one.  The responses
+    at one position are checked against each other before the first one,
+    so a lone mismatched response is reported as its pair would be.
     """
-    left, right = list(left), list(right)
-    for a, b in zip(left, right):
-        _check_comparable(a, b)
-    diff = np.abs(_stacked_bins(left) - _stacked_bins(right))
+    for aligned in zip(*sides):
+        for other in aligned[1:]:
+            _check_comparable(aligned[0], other)
+        _check_comparable(sides[0][0], aligned[0])
+    return [np.array([r.bins for r in side]).reshape(len(side), -1) for side in sides]
+
+
+def _pair_differences(left: np.ndarray, right: np.ndarray, levels=()):
+    """Absolute bin differences of aligned bin matrices, with LHD counts.
+
+    Row p compares left[p] with right[p].  Returns the (P, modes) integer
+    matrix |left - right| and the (P, len(levels)) matrix whose column k
+    holds each row's loose Hamming distance at looseness levels[k].
+    """
+    diff = np.abs(left - right)
     return diff, (diff[:, :, None] >= np.asarray(levels, dtype=int)).sum(axis=1)
 
 
@@ -184,7 +188,7 @@ def uniqueness(responses, looseness: int = 2) -> float:
     if n < 2:
         raise ValueError(f"uniqueness needs at least 2 responses, got {n}")
     _check_looseness(looseness)
-    bins = _stacked_bins(responses)
+    (bins,) = _stacked_bins(responses)
     # response i against all later ones: O(n * modes) memory per step
     total = sum(
         int(np.count_nonzero(np.abs(bins[i + 1:] - bins[i]) >= looseness))
@@ -215,12 +219,14 @@ class DistanceStats:
 
 
 def distance_stats(values, bin_width: float = 1.0) -> DistanceStats:
-    """Population statistics and histogram (bins aligned to bin_width)."""
+    """Population statistics and histogram of finite values, bins aligned to bin_width."""
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise ValueError("cannot summarize an empty sample")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
+    if not np.isfinite(data).all():
+        raise ValueError("values must be finite")
     lo_edge = math.floor(float(data.min()) / bin_width)
     hi_edge = math.floor(float(data.max()) / bin_width) + 1
     edges = np.arange(lo_edge, hi_edge + 1) * bin_width
@@ -263,7 +269,7 @@ def looseness_sweep(repeated_pairs, random_pairs, looseness_max: int = 10) -> Lo
         raise ValueError("both pair populations must be non-empty")
     levels = tuple(range(1, looseness_max + 1))
     repeated, random = (
-        tuple(distance_stats(column) for column in _pair_differences(*zip(*pairs), levels)[1].T)
+        tuple(map(distance_stats, _pair_differences(*_stacked_bins(*zip(*pairs)), levels)[1].T))
         for pairs in populations
     )
     return LoosenessSweep(looseness_values=levels, repeated=repeated, random=random)

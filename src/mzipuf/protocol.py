@@ -35,7 +35,9 @@ from .metrics import (
     _check_looseness,
     _pair_differences,
     _quantize_rows,
+    _responses,
     _row_l2,
+    _stacked_bins,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,
@@ -337,20 +339,17 @@ def enroll(
         raise ValueError("challenge_count and repeats_per_challenge must be >= 1")
     noise_config = noise_config if noise_config is not None else NoiseConfig()
     challenge_rng = np.random.default_rng((int(rng_seed), 10))
-    stream = None
-    if noise_config.enabled:
-        stream = NoiseStream((int(rng_seed), 11), device.layout.mode_count, noise_config)
+    stream = NoiseStream((int(rng_seed), 11), device.layout.mode_count, noise_config)
     db = CrpDatabase(device_digest=device.descriptor_digest(), bin_fraction=bin_fraction)
     challenges = _random_challenges(challenge_rng, challenge_count, device.layout.mzi_count)
     indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
     measured = measure_batch(device, challenges, stream, indices)
-    references = _quantize_rows(np.mean(measured, axis=1), bin_fraction)
-    repeats = _quantize_rows(measured.reshape(-1, device.layout.mode_count), bin_fraction)
+    reference_bins = _quantize_rows(np.mean(measured, axis=1), bin_fraction)
+    repeat_bins = _quantize_rows(measured.reshape(-1, device.layout.mode_count), bin_fraction)
     # row cid of repeat_l2 holds the distances of challenge cid's repeats
-    diff, _ = _pair_differences(
-        [ref for ref in references for _ in range(repeats_per_challenge)], repeats
-    )
+    diff, _ = _pair_differences(reference_bins.repeat(repeats_per_challenge, axis=0), repeat_bins)
     repeat_l2 = _row_l2(diff).reshape(challenge_count, repeats_per_challenge)
+    references = _responses(reference_bins, bin_fraction)
     for cid, (challenge, reference) in enumerate(zip(challenges, references)):
         db.add(
             CrpRecord(
@@ -420,8 +419,8 @@ def calibrate_policy(
     _check_looseness(looseness)
 
     def differences(samples, levels=()):
-        references = [db.record(cid).reference for cid, _ in samples]
-        return _pair_differences(references, [response for _, response in samples], levels)
+        pairs = [(db.record(cid).reference, response) for cid, response in samples]
+        return _pair_differences(*_stacked_bins(*zip(*pairs)), levels)
 
     intra_diff, intra_lhd = differences(legitimate, (looseness,))
     intra_l2 = _row_l2(intra_diff)

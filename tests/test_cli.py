@@ -91,6 +91,14 @@ def test_fabricate_and_carve(tmp_path, capsys):
         main(["carve", "--chip", str(chip_path), "--out", str(tmp_path / "x.json")])
 
 
+def test_fabricate_rejects_a_zero_v2pi(tmp_path, capsys):
+    chip_path = tmp_path / "chip.json"
+    assert main(["fabricate", "--seed", "5", "--mzis", "4", "--v2pi", "0",
+                 "--out", str(chip_path)]) == 1
+    assert capsys.readouterr().err == "error: v2pi_nominal must be finite and > 0, got 0.0\n"
+    assert not chip_path.exists()
+
+
 def test_fabricate_calibrated(tmp_path, capsys):
     chip_path = tmp_path / "chip.json"
     run_cli(capsys, "fabricate", "--seed", "5", "--mzis", "4", "--calibrated",
@@ -265,6 +273,16 @@ def test_experiment_config_file_with_null_seed_is_an_error(tmp_path, capsys):
     config_path.write_text(json.dumps({"preset": "small-pair", "seed": None}))
     assert main(["experiment", "small-pair", "--config", str(config_path)]) == 1
     assert "error: ExperimentConfig.seed" in capsys.readouterr().err
+
+
+def test_experiment_config_file_with_a_nan_noise_field_is_an_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"preset": "small-pair",
+                                       "noise": {"detector_sigma": float("nan")}}))
+    assert main(["experiment", "small-pair", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ExperimentConfig.noise: detector_sigma must be finite and >= 0, got nan\n"
+    )
 
 
 def test_experiment_adversary_seed(capsys):

@@ -60,7 +60,9 @@ def chips(draw):
     site = st.integers(0, n - 1)
     pairs = st.tuples(site, site).filter(lambda pair: pair[0] != pair[1])
     adjacency = draw(st.none() | st.lists(pairs, max_size=4).map(tuple)) if n > 1 else None
-    spec = ChipLayoutSpec(n, adjacency, *draw(st.tuples(*[floats] * 5)))
+    finite = st.floats(0.0, allow_infinity=False)
+    v2pi, heater, coupler, loop = draw(st.tuples(finite.filter(bool), finite, finite, finite))
+    spec = ChipLayoutSpec(n, adjacency, v2pi, heater, coupler, draw(floats), loop)
     heaters = draw(st.lists(st.builds(HeaterParams, floats, floats, floats),
                             min_size=n, max_size=n))
     couplers = draw(st.lists(st.builds(CouplerPair, open_unit, open_unit),

@@ -1,6 +1,7 @@
 """Unit tests for fabrication randomness, carving, and noisy measurement."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ def test_layout_spec_validation():
         ChipLayoutSpec(mzi_count=3, adjacency=((0, 3),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("v2pi_nominal", 0.0), ("v2pi_nominal", -5.0), ("v2pi_nominal", np.inf),
+    ("v2pi_nominal", np.nan), ("heater_sigma", -0.1), ("heater_sigma", np.nan),
+    ("coupler_sigma", np.inf), ("ground_loop_scale", -np.inf),
+])
+def test_layout_spec_rejects_non_physical_values(field, value):
+    bound = "> 0" if field == "v2pi_nominal" else ">= 0"
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite and {bound}, got ")):
+        ChipLayoutSpec(mzi_count=3, **{field: value})
+    ChipLayoutSpec(mzi_count=3, heater_sigma=0.0, coupler_sigma=0.0, ground_loop_scale=0.0)
+
+
 def test_fabrication_deterministic():
     a = small_chip(seed=42)
     b = small_chip(seed=42)
@@ -130,6 +143,12 @@ def test_load_chip_rejects_wrong_format(tmp_path):
     del payload["layout"]["heater_sigma"]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="ChipLayoutSpec.heater_sigma is missing"):
+        load_chip(path)
+    path.write_text(json.dumps({**payload, "layout": {**payload["layout"],
+                                                      "heater_sigma": 0.05,
+                                                      "v2pi_nominal": float("inf")}}))
+    assert '"v2pi_nominal": Infinity' in path.read_text()
+    with pytest.raises(ValueError, match="v2pi_nominal must be finite and > 0, got inf"):
         load_chip(path)
     payload["couplers"][3] = [0.5]
     path.write_text(json.dumps(payload))
@@ -379,7 +398,17 @@ def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(detector_sigma=-1.0)
     assert NoiseConfig.disabled().enabled is False
+    assert NoiseConfig(detector_sigma=0.0, coupling_drift_bound=0.0).enabled
     assert NoiseConfig.quiet().coupling_drift_step == 0.0
+
+
+@pytest.mark.parametrize("field", ["detector_sigma", "coupling_jitter_sigma",
+                                   "coupling_drift_step", "coupling_drift_bound"])
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_noise_config_rejects_negative_and_non_finite_values(field, value):
+    message = f"{field} must be finite and >= 0, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NoiseConfig(**{field: value})
 
 
 def test_measure_noise_free_matches_propagation():

@@ -1,5 +1,6 @@
 """Unit tests for quantization and response distance metrics."""
 
+import re
 import statistics
 import tracemalloc
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzipuf.fabrication import Challenge
 from mzipuf.metrics import (
     _FLOOR_GUARD,
     DEFAULT_BIN_FRACTION,
@@ -17,7 +19,9 @@ from mzipuf.metrics import (
     QuantizedResponse,
     _pair_differences,
     _quantize_rows,
+    _responses,
     _row_l2,
+    _stacked_bins,
     aggregate_uniqueness,
     distance_stats,
     euclidean_distance,
@@ -26,6 +30,7 @@ from mzipuf.metrics import (
     quantize,
     uniqueness,
 )
+from mzipuf.protocol import CrpDatabase, CrpRecord, calibrate_policy
 
 
 def qr(*bins):
@@ -255,6 +260,20 @@ def test_distance_stats_rejects_bad_input():
         distance_stats([1.0], bin_width=0.0)
 
 
+@pytest.mark.parametrize("values, bin_width, message", [
+    ([1.0, np.inf], 1.0, "values must be finite"),
+    ([-np.inf, 1.0], 1.0, "values must be finite"),
+    ([1.0, np.nan], 1.0, "values must be finite"),
+    ([1.0], np.inf, "bin_width must be finite and > 0, got inf"),
+    ([1.0], np.nan, "bin_width must be finite and > 0, got nan"),
+    ([1.0], 0.0, "bin_width must be finite and > 0, got 0.0"),
+    ([1.0], -2.0, "bin_width must be finite and > 0, got -2.0"),
+])
+def test_distance_stats_rejects_non_finite_input(values, bin_width, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        distance_stats(values, bin_width)
+
+
 def test_looseness_sweep_counts():
     rep = [(qr(5, 5, 5), qr(5, 6, 5)), (qr(5, 5, 5), qr(5, 5, 5))]
     rand = [(qr(0, 0, 0), qr(9, 9, 9)), (qr(0, 0, 0), qr(2, 2, 0))]
@@ -319,7 +338,7 @@ def test_pair_difference_counts_match_pairwise_distances(population, levels):
     responses = [QuantizedResponse(bins) for bins in population]
     n = len(responses)
     pairs = [(a, b) for a in responses for b in responses]  # every ordered pair
-    diff, counts = _pair_differences(*zip(*pairs), levels)
+    diff, counts = _pair_differences(*_stacked_bins(*zip(*pairs)), levels)
     assert diff.shape == (n * n, len(population[0]))
     assert counts.shape == (n * n, len(levels))
     lengths = _row_l2(diff)
@@ -330,22 +349,47 @@ def test_pair_difference_counts_match_pairwise_distances(population, levels):
         assert lengths[row] == euclidean_distance(a, b)
 
 
-@settings(max_examples=40, deadline=None)
+def pair_mismatch_message(a, b):
+    """What comparing a with b raises when exactly one of them is the odd one."""
+    if len(a) != len(b):
+        return f"response lengths differ: {len(a)} vs {len(b)}"
+    return (f"responses quantized with different bin fractions: "
+            f"{a.bin_fraction} vs {b.bin_fraction}")
+
+
+@settings(max_examples=60, deadline=None)
 @given(population=bin_populations(), data=st.data())
 def test_mismatched_responses_raise(population, data):
+    """One mismatched response, at any position on either side of
+    looseness_sweep or calibrate_policy, is reported as its pair is."""
     responses = [QuantizedResponse(bins) for bins in population]
     k = data.draw(st.integers(0, len(responses) - 1))
     if data.draw(st.booleans()):
         odd, message = QuantizedResponse(population[k] + (0,)), "lengths differ"
     else:
         odd, message = QuantizedResponse(population[k], bin_fraction=0.01), "bin fractions"
-    good = [(r, r) for r in responses]
     with pytest.raises(ValueError, match=message):
         uniqueness(responses[:k] + [odd] + responses[k + 1:])
-    with pytest.raises(ValueError, match=message):
-        looseness_sweep(good + [(responses[k], odd)], good)
-    with pytest.raises(ValueError, match=message):
-        looseness_sweep(good, [(odd, responses[k])] + good)
+
+    def raises(pair, call):
+        message = re.escape(pair_mismatch_message(*pair))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    good = [(r, r) for r in responses]
+    for pair in ((odd, responses[k]), (responses[k], odd)):
+        bad = good[:k] + [pair] + good[k + 1:]
+        raises(pair, lambda: looseness_sweep(bad, good))
+        raises(pair, lambda: looseness_sweep(good, bad))
+
+    db = CrpDatabase("d" * 64, records=[
+        CrpRecord(cid, Challenge(levels=(cid,)), reference)
+        for cid, reference in enumerate(responses)
+    ])
+    samples = list(enumerate(responses))
+    bad = samples[:k] + [(k, odd)] + samples[k + 1:]
+    raises((responses[k], odd), lambda: calibrate_policy(db, bad, samples))
+    raises((responses[k], odd), lambda: calibrate_policy(db, samples, bad))
 
 
 def test_looseness_sweep_needs_one_length_per_population():
@@ -428,11 +472,13 @@ def _build_block(n, modes, seed, bin_fraction, rows, layout):
 @given(case=intensity_blocks())
 def test_quantize_rows_equals_quantize_per_row(case):
     block, bin_fraction = case
-    expected = [quantize(row, bin_fraction) for row in block]
-    assert _quantize_rows(block, bin_fraction) == expected
-    assert [q.bins for q in expected] == [reference_quantize(row, bin_fraction) for row in block]
-    # the kernel builds its responses without QuantizedResponse's checks
-    for response in expected:
+    bins = _quantize_rows(block, bin_fraction)
+    assert bins.shape == block.shape
+    rows = [tuple(row) for row in bins.tolist()]
+    assert rows == [quantize(row, bin_fraction).bins for row in block]
+    assert rows == [reference_quantize(row, bin_fraction) for row in block]
+    # _responses builds them without QuantizedResponse's checks
+    for response in _responses(bins, bin_fraction):
         public = QuantizedResponse(bins=list(response.bins), bin_fraction=bin_fraction)
         assert response == public and hash(response) == hash(public)
         assert type(response.bins) is tuple
@@ -494,12 +540,11 @@ def test_quantize_rows_memory_is_linear_in_the_block():
     block = np.random.default_rng(4).uniform(0.0, 1.0, size=(2000, 22))
     tracemalloc.start()
     try:
-        responses = _quantize_rows(block, DEFAULT_BIN_FRACTION)
+        bins = _quantize_rows(block, DEFAULT_BIN_FRACTION)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the block is 0.35 MB and the peak about 1.5 MB: a few block-sized
-    # temporaries plus the 2000 responses; one (N, modes, modes) temporary
-    # alone would be 7.7 MB
+    # the block is 0.35 MB: a few block-sized temporaries; one
+    # (N, modes, modes) temporary alone would be 7.7 MB
     assert peak < 3e6
-    assert len(responses) == 2000
+    assert len(bins) == 2000
