@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValueError("chip_seeds takes one chip seed or (device A, adversary)")
         if self.looseness_max < self.headline_looseness:
             raise ValueError("looseness_max must cover headline_looseness")
+        if not 0.0 < self.bin_fraction <= 1.0:
+            raise ValueError(f"bin_fraction must lie in (0, 1], got {self.bin_fraction}")
 
 
 def _config_payload(config: ExperimentConfig) -> dict:

@@ -41,9 +41,8 @@ GROUND_LOOP_DB = -45.0
 GROUND_LOOP_SCALE = 10.0 ** (GROUND_LOOP_DB / 20.0)
 
 # challenges propagated together by measure_batch.  The kernel's largest
-# temporaries are (block, MZIs, 2, 2) complex unitaries and a (block, MZIs,
-# 16) coefficient tensor; at 32 they stay under 1 MB on the 66-MZI mesh,
-# while larger blocks no longer run faster.
+# temporaries are (block, MZIs, 16) coefficient tensors; at 32 they stay
+# under 1 MB on the 66-MZI mesh, while larger blocks run slower there.
 MEASURE_BLOCK = 32
 
 # the largest chance, per mode and measurement, that one of its snapshots
@@ -89,7 +88,7 @@ class ChipLayoutSpec:
             raise ValueError(f"mzi_count must be >= 1, got {self.mzi_count}")
         if not 0 < self.v2pi_nominal < math.inf:
             raise ValueError(f"v2pi_nominal must be finite and > 0, got {self.v2pi_nominal}")
-        for name in ("heater_sigma", "coupler_sigma", "ground_loop_scale"):
+        for name in ("heater_sigma", "coupler_sigma", "phase_offset_span", "ground_loop_scale"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.adjacency is None:
@@ -328,6 +327,8 @@ class Challenge:
         object.__setattr__(self, "levels", levels)
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
+        if not 0 < self.v2pi_nominal < math.inf:
+            raise ValueError(f"v2pi_nominal must be finite and > 0, got {self.v2pi_nominal}")
         top = 2**self.bits
         if levels and (min(levels) < 0 or max(levels) >= top):
             q = next(q for q in levels if not 0 <= q < top)  # the first offender

@@ -15,6 +15,10 @@ At the ideal splitting ratio eta = 0.5 this reduces (up to global phase)
 to the familiar sine/cosine form: theta = 0 routes all power to the cross
 port, theta = pi to the bar port, theta = pi/2 splits 50/50.
 
+With phi fixed, U = X e^{j theta} + Y is affine in e^{j theta}; the mesh kernel
+builds every unitary in this closed form, with float64 multiply, add and
+negate only, and mzi_unitary is its one-MZI case.
+
 Meshes are right-angled triangles ("pyramids") of MZIs: column c (1-based)
 holds c devices, light enters a single input port, and a mesh with C
 columns terminates in 2C output modes.
@@ -66,15 +70,17 @@ class CouplerPair:
 IDEAL_COUPLERS = CouplerPair(0.5, 0.5)
 
 
-def coupler_matrix(eta: float) -> np.ndarray:
-    """Transfer matrix of a lossless directional coupler with power ratio eta."""
-    t = np.sqrt(1.0 - eta)
-    k = 1j * np.sqrt(eta)
-    return np.array([[t, k], [k, t]], dtype=complex)
+def coupler_matrix(eta) -> np.ndarray:
+    """Transfer matrix of a lossless directional coupler with power ratio eta;
+    for an array of ratios, the stacked matrices, shape eta.shape + (2, 2)."""
+    out = np.empty(np.shape(eta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.sqrt(1.0 - eta)
+    out[..., 0, 1] = out[..., 1, 0] = 1j * np.sqrt(eta)
+    return out
 
 
 def mzi_unitary(settings: MziSettings, couplers: CouplerPair = IDEAL_COUPLERS) -> np.ndarray:
-    """2x2 transfer matrix of a single MZI.
+    """2x2 transfer matrix of a single MZI: the one-MZI case of the mesh kernel.
 
     Parameters
     ----------
@@ -88,9 +94,12 @@ def mzi_unitary(settings: MziSettings, couplers: CouplerPair = IDEAL_COUPLERS) -
     numpy.ndarray
         Complex 2x2 matrix, unitary for any valid coupler pair.
     """
-    phase_inner = np.array([[np.exp(1j * settings.theta), 0.0], [0.0, 1.0]], dtype=complex)
-    phase_outer = np.array([[np.exp(1j * settings.phi), 0.0], [0.0, 1.0]], dtype=complex)
-    return phase_outer @ coupler_matrix(couplers.eta2) @ phase_inner @ coupler_matrix(couplers.eta1)
+    etas, phi = np.array([[couplers.eta1, couplers.eta2]]), np.array([settings.phi])
+    # [row, re|im, term, 0|1]: the entries at 0 are the real and imaginary parts
+    terms = _mzi_terms(np.array([settings.theta]), _closed_form(etas, phi))[0]
+    unitary = np.empty((2, 2), dtype=complex)
+    unitary.real, unitary.imag = terms[:, 0, :, 0], terms[:, 1, :, 0]
+    return unitary
 
 
 def ideal_mzi_sine_cosine(settings: MziSettings) -> np.ndarray:
@@ -170,71 +179,63 @@ def build_mesh(columns: int) -> MeshLayout:
     return MeshLayout(columns=columns, mode_pairs=_pyramid_mode_pairs(columns))
 
 
-def _phase_matrices(angles: np.ndarray) -> np.ndarray:
-    """Stacked diag(e^{j angle}, 1), built entry for entry as mzi_unitary does."""
-    out = np.zeros(angles.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(1j * angles)
-    out[..., 1, 1] = 1.0
-    return out
+def _closed_form(etas: np.ndarray, phi) -> np.ndarray:
+    """p, q, r of every MZI, stacked (3, MZIs, row, re|im, term, 0|1), for
+    etas (MZIs, eta1|eta2) and outer phases phi.
 
-
-def _coupler_matrices(etas: np.ndarray) -> np.ndarray:
-    """coupler_matrix over an array of ratios: shape etas.shape + (2, 2).
-
-    Each entry equals the scalar coupler_matrix bit for bit: sqrt is
-    correctly rounded, and the cross term j sqrt(eta) has real part +0.0.
+    U = X e^{j theta} + Y with X_ij = L_i0 B1_0j and Y_ij = L_i1 B1_1j,
+    where L = diag(e^{j phi}, 1) @ B(eta2) and B1 = B(eta1).  p holds X,
+    q holds j X and r holds Y in _sweep's layout, so that the coefficients
+    at inner phase theta are (p c + q s) + r, with c + j s = e^{j theta}.
+    Every complex product here has a real or an imaginary factor, a coupler
+    entry or j, so each of its parts is one rounded float64 product, however
+    numpy's vectorized complex multiply computes it.
     """
-    t = np.sqrt(1.0 - etas)
-    out = np.zeros(etas.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = t
-    out[..., 1, 1] = t
-    out.imag[..., 0, 1] = np.sqrt(etas)
-    out.imag[..., 1, 0] = out.imag[..., 0, 1]
+    first, second = coupler_matrix(etas.T)
+    left = second.copy()
+    left[:, 0] *= np.exp(1j * phi)[..., None]
+    x, y = left[:, :, :1] * first[:, :1], left[:, :, 1:] * first[:, 1:]
+    z = np.array([x, 1j * x, y])
+    out = np.empty(z.shape[:3] + (2, 2, 2))
+    out[..., 0, :, 0] = out[..., 1, :, 1] = z.real
+    out[..., 0, :, 1] = -z.imag
+    out[..., 1, :, 0] = z.imag
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class CouplerArrays:
-    """Coupler transfer matrices of every MZI of a mesh, stacked (MZIs, 2, 2).
-
-    outer_second is diag(e^{j0}, 1) @ B(eta2), the left product of every
-    unitary whose outer phase phi is 0, which is every unitary the phase
-    map programs; it is computed once per mesh.
+    """Splitting ratios of every MZI of a mesh, (MZIs, eta1|eta2), and the
+    closed form of its unitaries at outer phase 0, which is every unitary
+    the phase map programs; it is computed once per mesh.
     """
 
-    first: np.ndarray
-    second: np.ndarray
-    outer_second: np.ndarray
+    etas: np.ndarray
+    closed_form: np.ndarray
 
     @classmethod
     def from_pairs(cls, couplers) -> "CouplerArrays":
         etas = np.array([(cp.eta1, cp.eta2) for cp in couplers], dtype=float)
-        second = _coupler_matrices(etas[:, 1])
-        outer = np.matmul(_phase_matrices(np.zeros(len(etas))), second)
-        return cls(first=_coupler_matrices(etas[:, 0]), second=second, outer_second=outer)
+        return cls(etas, _closed_form(etas, 0.0))
 
 
-def _stacked_unitaries(theta: np.ndarray, couplers: CouplerArrays, phi) -> np.ndarray:
-    """mzi_unitary for theta of shape (..., MZIs): shape (..., MZIs, 2, 2).
-
-    Bit identity with mzi_unitary: every product is a stacked np.matmul on
-    C-contiguous (..., 2, 2) operands, which sends each item through the
-    same 2x2 zgemm call as a single product, in the same association order
-    ((P_outer @ B2) @ P_inner) @ B1.
-    """
-    if phi is None:
-        left = couplers.outer_second
-    else:
-        left = np.matmul(_phase_matrices(phi), couplers.second)
-    return np.matmul(np.matmul(left, _phase_matrices(theta)), couplers.first)
+def _mzi_terms(theta: np.ndarray, closed_form: np.ndarray) -> np.ndarray:
+    """Coefficient tensor of the unitaries at inner phases theta (..., MZIs):
+    shape (..., MZIs, row, re|im, term, 0|1), (p c + q s) + r."""
+    p, q, r = closed_form
+    phase = np.exp(1j * theta)[..., None, None, None, None]
+    out = p * phase.real
+    out += q * phase.imag
+    out += r
+    return out
 
 
-def _sweep(layout: MeshLayout, unitaries: np.ndarray, amps: np.ndarray) -> None:
+def _sweep(layout: MeshLayout, coefficients: np.ndarray, amps: np.ndarray) -> None:
     """Apply every MZI to a batch of field amplitudes (B, modes), column by column, in place.
 
-    unitaries is (B or 1, MZIs, 2, 2).  The MZIs of one column couple
-    disjoint mode pairs, so a column updates all its pairs, for every field
-    of the batch, at once.
+    coefficients is (B or 1, MZIs, row, re|im, term, 0|1), as _mzi_terms
+    builds it.  The MZIs of one column couple disjoint mode pairs, so a
+    column updates all its pairs, for every field of the batch, at once.
 
     The complex arithmetic is spelled out on real and imaginary parts, as
     numpy's scalar complex multiply computes it, because the vectorized
@@ -245,13 +246,6 @@ def _sweep(layout: MeshLayout, unitaries: np.ndarray, amps: np.ndarray) -> None:
     imaginary part ui*ar and ur*ai.  Negation and swapping the terms of a
     sum are exact.
     """
-    ur, ui = unitaries.real, unitaries.imag
-    # coefficients[b, k, row, re|im, term, 0|1] multiply (ar, ai) of the term
-    coefficients = np.empty(unitaries.shape[:3] + (2, 2, 2))
-    coefficients[:, :, :, 0, :, 0] = ur
-    np.negative(ui, out=coefficients[:, :, :, 0, :, 1])
-    coefficients[:, :, :, 1, :, 0] = ui
-    coefficients[:, :, :, 1, :, 1] = ur
     # pairs[b, mode, re|im]
     pairs = amps.view(np.float64).reshape(len(amps), -1, 2)
     for slots, modes in layout.column_spans():
@@ -262,8 +256,8 @@ def _sweep(layout: MeshLayout, unitaries: np.ndarray, amps: np.ndarray) -> None:
         column[...] = terms[..., 0] + terms[..., 1]
 
 
-def _programmed_unitaries(layout: MeshLayout, settings, couplers) -> np.ndarray:
-    """Stacked unitaries of the object form or the array form of a programming."""
+def _programmed_terms(layout: MeshLayout, settings, couplers) -> np.ndarray:
+    """Coefficient tensor of the object form or the array form of a programming."""
     if not isinstance(couplers, CouplerArrays):
         couplers = CouplerArrays.from_pairs(couplers)
     phi = None
@@ -272,12 +266,14 @@ def _programmed_unitaries(layout: MeshLayout, settings, couplers) -> np.ndarray:
         phi = np.array([s.phi for s in settings], dtype=float)
         settings = np.array([s.theta for s in settings], dtype=float)
     mzis = layout.mzi_count
-    if settings.shape[-1:] != (mzis,) or len(couplers.first) != mzis:
+    if settings.shape[-1:] != (mzis,) or len(couplers.etas) != mzis:
         raise ValueError(
             f"mesh with {mzis} MZIs got settings of shape {settings.shape} "
-            f"and {len(couplers.first)} coupler pairs"
+            f"and {len(couplers.etas)} coupler pairs"
         )
-    return _stacked_unitaries(settings, couplers, phi)
+    if phi is None:
+        return _mzi_terms(settings, couplers.closed_form)
+    return _mzi_terms(settings, _closed_form(couplers.etas, phi))
 
 
 def mesh_transfer_matrix(layout: MeshLayout, settings, couplers) -> np.ndarray:
@@ -287,9 +283,9 @@ def mesh_transfer_matrix(layout: MeshLayout, settings, couplers) -> np.ndarray:
     order.  The result is (2C x 2C) and unitary because every constituent
     block is: column j is the propagation of unit field on mode j.
     """
-    unitaries = _programmed_unitaries(layout, settings, couplers)
+    coefficients = _programmed_terms(layout, settings, couplers)
     amps = np.eye(layout.mode_count, dtype=complex)
-    _sweep(layout, unitaries[None], amps)
+    _sweep(layout, coefficients[None], amps)
     return amps.T
 
 
@@ -302,12 +298,12 @@ def propagate(layout: MeshLayout, settings, couplers) -> np.ndarray:
     theta of shape (..., MZIs), with outer phases 0 (what the phase map
     programs), and couplers may be a CouplerArrays; the result has shape
     (..., 2C).  Either way the intensities are non-negative, sum to 1
-    (lossless model) and equal the per-MZI product bit for bit.
+    (lossless model) and equal the per-MZI loop over mzi_unitary bit for bit.
     """
-    unitaries = _programmed_unitaries(layout, settings, couplers)
-    lead = unitaries.shape[:-3]
-    unitaries = unitaries.reshape((-1,) + unitaries.shape[-3:])
-    amps = np.zeros((len(unitaries), layout.mode_count), dtype=complex)
+    coefficients = _programmed_terms(layout, settings, couplers)
+    lead = coefficients.shape[:-5]
+    coefficients = coefficients.reshape((-1,) + coefficients.shape[-5:])
+    amps = np.zeros((len(coefficients), layout.mode_count), dtype=complex)
     amps[:, layout.input_mode] = 1.0
-    _sweep(layout, unitaries, amps)
+    _sweep(layout, coefficients, amps)
     return (np.abs(amps) ** 2).reshape(lead + (layout.mode_count,))

@@ -285,6 +285,21 @@ def test_experiment_config_file_with_a_nan_noise_field_is_an_error(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize("value", [0, 2.0])
+def test_experiment_config_file_with_a_bad_bin_fraction_fails_before_measuring(
+        tmp_path, capsys, monkeypatch, value):
+    def no_measurement(*args):
+        raise AssertionError("measured before the config was checked")
+
+    monkeypatch.setattr("mzipuf.experiments.measure_batch", no_measurement)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"preset": "large-pair", "bin_fraction": value}))
+    assert main(["experiment", "large-pair", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bin_fraction must lie in (0, 1], got {float(value)}\n"
+    )
+
+
 def test_experiment_adversary_seed(capsys):
     code, out = run_cli(capsys, "experiment", "small-pair",
                         "--challenges", "5", "--repeats", "2", "--no-noise",

@@ -46,7 +46,7 @@ def experiment_configs(draw):
         repeat_count=draw(st.integers(2, 10**6)),
         seed=draw(counts),
         noise=draw(noise_configs),
-        bin_fraction=draw(floats),
+        bin_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
         looseness_max=headline + draw(st.integers(0, 5)),
         headline_looseness=headline,
         clone_devices=draw(st.booleans()),
@@ -62,7 +62,7 @@ def chips(draw):
     adjacency = draw(st.none() | st.lists(pairs, max_size=4).map(tuple)) if n > 1 else None
     finite = st.floats(0.0, allow_infinity=False)
     v2pi, heater, coupler, loop = draw(st.tuples(finite.filter(bool), finite, finite, finite))
-    spec = ChipLayoutSpec(n, adjacency, v2pi, heater, coupler, draw(floats), loop)
+    spec = ChipLayoutSpec(n, adjacency, v2pi, heater, coupler, draw(finite), loop)
     heaters = draw(st.lists(st.builds(HeaterParams, floats, floats, floats),
                             min_size=n, max_size=n))
     couplers = draw(st.lists(st.builds(CouplerPair, open_unit, open_unit),

@@ -72,6 +72,8 @@ def test_layout_spec_validation():
     ("v2pi_nominal", 0.0), ("v2pi_nominal", -5.0), ("v2pi_nominal", np.inf),
     ("v2pi_nominal", np.nan), ("heater_sigma", -0.1), ("heater_sigma", np.nan),
     ("coupler_sigma", np.inf), ("ground_loop_scale", -np.inf),
+    # numpy's uniform draw would raise OverflowError or "high - low < 0" for these
+    ("phase_offset_span", -1.0), ("phase_offset_span", np.inf), ("phase_offset_span", np.nan),
 ])
 def test_layout_spec_rejects_non_physical_values(field, value):
     bound = "> 0" if field == "v2pi_nominal" else ">= 0"
@@ -258,6 +260,16 @@ def test_challenge_validation_and_voltages():
     with pytest.raises(ValueError):
         Challenge(levels=(1,), bits=0)
     assert Challenge(levels=(3,), bits=2).voltages == pytest.approx([3 * 7.0 / 4])
+
+
+@pytest.mark.parametrize("value", [0.0, -7.0, np.inf, np.nan])
+def test_challenge_rejects_a_non_physical_v2pi(value):
+    # an infinite V_2pi would give NaN intensities that only quantize refuses
+    message = re.escape(f"v2pi_nominal must be finite and > 0, got {value}")
+    with pytest.raises(ValueError, match=message):
+        Challenge(levels=(1,) * 10, v2pi_nominal=value)
+    with pytest.raises(ValueError, match=message):
+        _random_challenges(np.random.default_rng(0), 3, 10, v2pi_nominal=value)
 
 
 def test_challenge_digest_and_random():

@@ -1,11 +1,21 @@
 """Unit tests for MZI unitaries and pyramid mesh propagation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mzipuf
 from mzipuf.mesh import (
+    TWO_PI,
     CouplerPair,
     MziSettings,
+    _programmed_terms,
     build_mesh,
     ideal_mzi_sine_cosine,
     mesh_transfer_matrix,
@@ -21,6 +31,18 @@ from mzipuf.fabrication import (
 )
 
 IDEAL = CouplerPair(0.5, 0.5)
+
+
+def four_matrix_product(s, cp):
+    """The MZI unitary as diag(e^{j phi}, 1) @ B(eta2) @ diag(e^{j theta}, 1) @ B(eta1)."""
+    def coupler(eta):
+        return np.array([[np.sqrt(1 - eta), 1j * np.sqrt(eta)],
+                         [1j * np.sqrt(eta), np.sqrt(1 - eta)]])
+
+    def phase(angle):
+        return np.diag([np.exp(1j * angle), 1.0])
+
+    return phase(s.phi) @ coupler(cp.eta2) @ phase(s.theta) @ coupler(cp.eta1)
 
 
 def random_settings(rng):
@@ -73,6 +95,54 @@ def test_unitarity_over_random_draws():
     for _ in range(1000):
         u = mzi_unitary(random_settings(rng), random_couplers(rng))
         assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-9
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+mzis = st.builds(
+    lambda theta, phi, eta1, eta2: (MziSettings(theta, phi), CouplerPair(eta1, eta2)),
+    st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI, exclude_min=True), open_unit, open_unit,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(programming=st.lists(mzis, min_size=1, max_size=6))
+def test_closed_form_matches_four_matrix_product(programming):
+    # the column-major MZIs of a mesh, each with its own outer phase phi != 0
+    columns = next(c for c in range(1, 4) if c * (c + 1) // 2 >= len(programming))
+    programming = (programming * 6)[:columns * (columns + 1) // 2]
+    settings_list, couplers = zip(*programming)
+    terms = _programmed_terms(build_mesh(columns), settings_list, couplers)
+    eye = np.eye(2)
+    for s, cp, coefficients in zip(settings_list, couplers, terms):
+        u = mzi_unitary(s, cp)
+        assert np.max(np.abs(u - four_matrix_product(s, cp))) < 2e-15
+        assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-14
+        # mzi_unitary is the one-MZI case of the array kernel
+        assert np.array_equal(coefficients[:, 0, :, 0], u.real)
+        assert np.array_equal(coefficients[:, 1, :, 0], u.imag)
+
+
+BLAS_PROBE = """
+import hashlib, numpy as np
+from mzipuf.fabrication import LARGE_PAIR, _random_challenges, fabricate_chip, measure_batch
+device = LARGE_PAIR.carve_pair(fabricate_chip(1234, LARGE_PAIR.chip_spec()))[0]
+challenges = _random_challenges(np.random.default_rng(5), 64, device.layout.mzi_count)
+print(hashlib.sha256(measure_batch(device, challenges, None, np.arange(64)).tobytes()).hexdigest())
+"""
+
+
+def test_ideal_intensities_do_not_depend_on_the_blas_kernel():
+    # the unitaries make no BLAS call, so OpenBLAS's generic Prescott kernel
+    # must give the bytes the host's kernel gives
+    src = str(Path(mzipuf.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    digests = [
+        subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**env, **kernel},
+                       capture_output=True, text=True, check=True).stdout
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+    ]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_coupler_domain_errors():
