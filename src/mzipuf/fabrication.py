@@ -40,10 +40,10 @@ COUPLER_SIGMA = 0.02
 GROUND_LOOP_DB = -45.0
 GROUND_LOOP_SCALE = 10.0 ** (GROUND_LOOP_DB / 20.0)
 
-# challenges propagated together by measure_batch.  The kernel's largest
-# temporaries are (block, MZIs, 16) coefficient tensors; at 32 they stay
-# under 1 MB on the 66-MZI mesh, while larger blocks run slower there.
-MEASURE_BLOCK = 32
+# MZI rows propagated together by measure_batch: max(1, 2048 // MZIs)
+# challenges, whose (block, MZIs, 16) coefficient tensors take 0.26 MB, the
+# size the 66-MZI mesh runs fastest at (31 challenges; 204 on the 10-MZI mesh).
+_BLOCK_MZI_ROWS = 2048
 
 # the largest chance, per mode and measurement, that one of its snapshots
 # clips while the noise sampler draws its mean as a single normal
@@ -352,14 +352,14 @@ class Challenge:
     @classmethod
     def from_voltages(cls, volts, bits: int = 10,
                       v2pi_nominal: float = V2PI_NOMINAL) -> "Challenge":
+        cls((), bits, v2pi_nominal)  # an empty challenge checks the grid before the division
         step = v2pi_nominal / float(2**bits)
         levels = []
         for v in np.asarray(volts, dtype=float):
             q = v / step
-            nearest = round(q)
-            if abs(q - nearest) > 1e-9:
+            if not math.isfinite(q) or abs(q - round(q)) > 1e-9:
                 raise ValueError(f"voltage {v} is not on the {bits}-bit challenge grid")
-            levels.append(int(nearest))
+            levels.append(int(round(q)))
         return cls(levels=tuple(levels), bits=bits, v2pi_nominal=v2pi_nominal)
 
 
@@ -384,7 +384,10 @@ def _drive_voltages(challenges) -> np.ndarray:
         levels = np.array([c.levels for c in challenges], dtype=float)
         steps = np.array([c.v2pi_nominal / float(2**c.bits) for c in challenges])
         return levels * steps[:, None]
-    return np.asarray(challenges, dtype=float)
+    volts = np.asarray(challenges, dtype=float)
+    if not np.isfinite(volts).all():
+        raise ValueError("drive voltages must be finite")
+    return volts
 
 
 def effective_voltages(device: DeviceInstance, voltages) -> np.ndarray:
@@ -565,15 +568,15 @@ def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -
     the (other modes, S) snapshot block.  This is the one-row case of
     _noisy_block.
     """
-    out = np.empty((1, len(ideal)))
-    _noisy_block(ideal[None, :], noise, [measurement_index], out)
+    out = np.array([ideal], dtype=float)
+    _noisy_block(noise, [measurement_index], out)
     return out[0]
 
 
-def _noisy_block(ideal: np.ndarray, noise: NoiseStream, indices, out: np.ndarray) -> None:
-    """_noisy_mean of k measurements at once, written to the C-contiguous
-    (k, modes) out: row j of the (k, modes) ideal matrix measured at the
-    j-th of a list of k indices.
+def _noisy_block(noise: NoiseStream, indices, out: np.ndarray) -> None:
+    """_noisy_mean of k measurements at once, in place: row j of the
+    C-contiguous (k, modes) out holds an ideal vector on entry and its
+    measurement at the j-th of a list of k indices on return.
 
     Bit for bit the rows _noisy_mean gives one at a time.  Each index draws
     from its own substream in _noisy_mean's order: its row of one-draw
@@ -584,7 +587,8 @@ def _noisy_block(ideal: np.ndarray, noise: NoiseStream, indices, out: np.ndarray
     """
     cfg = noise.config
     samples = cfg.samples_per_response
-    mean = noise._drift_rows(indices) * ideal
+    # out is read only here, before its first draw overwrites it
+    mean = noise._drift_rows(indices) * out
     sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
     dark = mean < _one_draw_threshold(samples) * sigma
     total = np.count_nonzero(dark)
@@ -620,11 +624,10 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     [i, r]) equals measure(device, challenges[i], noise, index).intensities
     bit for bit.
 
-    Challenges are propagated MEASURE_BLOCK at a time, and a challenge
-    measured at R indices is propagated once.  The block's measurements,
-    challenge by challenge and repeat by repeat, are then sampled
-    _NOISE_CHUNK at a time by _noisy_block, each index from its own
-    substream, as measure does.
+    Two passes: challenges are propagated _BLOCK_MZI_ROWS MZI rows at a
+    time, once each, their ideal intensities written to all R of their rows;
+    with noise on, the rows are then sampled in place _NOISE_CHUNK at a time
+    by _noisy_block, each index from its own substream, as measure does.
     """
     indices = np.asarray(indices)
     modes = device.layout.mode_count
@@ -643,22 +646,16 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     flat_indices = indices.ravel().tolist()
     if flat_indices and min(flat_indices) < 0:
         raise ValueError(f"measurement indices must be >= 0, got {min(flat_indices)}")
-    rows = indices.reshape(len(indices), -1)
-    repeats = rows.shape[1]
-    out = np.empty(rows.shape + (modes,))
-    for start in range(0, len(rows), MEASURE_BLOCK):
-        stop = start + MEASURE_BLOCK
-        thetas = voltages_to_phases(device, challenges[start:stop])
-        ideal = propagate(device.layout, thetas, device.arrays.couplers)
-        if not noisy:
-            out[start:stop] = ideal[:, None, :]
-            continue
-        ideal = ideal.repeat(repeats, axis=0)
-        block = out[start:stop].reshape(-1, modes)
-        block_indices = flat_indices[start * repeats:stop * repeats]
-        for first in range(0, len(block), _NOISE_CHUNK):
+    out = np.empty(indices.reshape(len(indices), -1).shape + (modes,))
+    block = max(1, _BLOCK_MZI_ROWS // device.layout.mzi_count)
+    for start in range(0, len(out), block):
+        thetas = voltages_to_phases(device, challenges[start:start + block])
+        out[start:start + block] = propagate(device.layout, thetas, device.arrays.couplers)[:, None]
+    if noisy:
+        flat = out.reshape(-1, modes)
+        for first in range(0, len(flat), _NOISE_CHUNK):
             last = first + _NOISE_CHUNK
-            _noisy_block(ideal[first:last], noise, block_indices[first:last], block[first:last])
+            _noisy_block(noise, flat_indices[first:last], flat[first:last])
     return out.reshape(indices.shape + (modes,))
 
 

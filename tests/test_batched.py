@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from mzipuf.fabrication import (
     LARGE_PAIR,
-    MEASURE_BLOCK,
     SMALL_PAIR,
+    _BLOCK_MZI_ROWS,
     Challenge,
     ChipLayoutSpec,
     NoiseConfig,
@@ -40,8 +40,15 @@ from mzipuf.mesh import (
     propagate,
 )
 
-# the largest crosses block boundaries of measure_batch
-BATCH_SIZES = (1, 7, 130)
+
+def propagation_block(mzi_count):
+    """Challenges measure_batch propagates together on a mesh of mzi_count MZIs."""
+    return max(1, _BLOCK_MZI_ROWS // mzi_count)
+
+
+def batch_sizes(mzi_count):
+    """Batch sizes for a mesh; the largest spans two propagation blocks."""
+    return (1, 7, propagation_block(mzi_count) + 7)
 
 
 def reference_propagate(layout, settings_list, couplers):
@@ -123,8 +130,9 @@ def random_challenges(seed, mzi_count, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(columns=st.integers(1, 6), n=st.sampled_from(BATCH_SIZES), seed=st.integers(0, 2**32 - 1))
+@given(columns=st.integers(1, 6), n=st.sampled_from((1, 7, 130)), seed=st.integers(0, 2**32 - 1))
 def test_kernel_matches_per_mzi_loop(columns, n, seed):
+    # the kernel takes any N at once; only measure_batch splits it into blocks
     rng = np.random.default_rng(seed)
     layout = build_mesh(columns)
     m = layout.mzi_count
@@ -141,8 +149,9 @@ def test_kernel_matches_per_mzi_loop(columns, n, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(device=carved_devices(), n=st.sampled_from(BATCH_SIZES), seed=st.integers(0, 2**32 - 1))
-def test_measure_batch_matches_reference(device, n, seed):
+@given(device=carved_devices(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_measure_batch_matches_reference(device, data, seed):
+    n = data.draw(st.sampled_from(batch_sizes(device.layout.mzi_count)), label="n")
     challenges = random_challenges(seed, device.layout.mzi_count, n)
     batch = measure_batch(device, challenges, None, np.arange(n))
     expected = np.array([reference_measure(device, ch) for ch in challenges])
@@ -172,7 +181,7 @@ def test_noisy_measure_batch_matches_reference(device, seed):
 
 
 # (N, R) index shapes, R None for an (N,) vector: N * R crosses the noise
-# chunk of 8 measurements, and N the propagation block of 32 challenges
+# chunk of 8 measurements, and N the large-pair propagation block of 31
 INDEX_SHAPES = (
     (1, None), (7, None), (9, None), (33, None), (1, 8), (1, 9), (1, 17),
     (3, 3), (2, 5), (4, 8), (33, 1), (34, 2),
@@ -181,6 +190,34 @@ PRESET_DEVICES = tuple(
     preset.carve_pair(fabricate_chip(7, preset.chip_spec()))[0]
     for preset in (SMALL_PAIR, LARGE_PAIR)
 )
+
+
+# 1-, 4- and 11-column meshes: propagation blocks of 2048, 204 and 31
+SPLIT_DEVICES = (
+    carve_device(fabricate_chip(7, ChipLayoutSpec(mzi_count=1)), 1, (0,)),
+    *PRESET_DEVICES,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(device=st.sampled_from(SPLIT_DEVICES), noisy=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_measure_batch_equals_concatenated_split(device, noisy, data, seed):
+    # block and noise chunk boundaries fall elsewhere within each piece
+    m = device.layout.mzi_count
+    n = data.draw(st.integers(1, propagation_block(m) + 8), label="n")
+    repeats = data.draw(st.integers(1, 3), label="repeats")
+    cuts = data.draw(st.lists(st.integers(0, n), max_size=3), label="cuts")
+    bounds = [0, *sorted(cuts), n]
+    challenges = random_challenges(seed, m, n)
+    # few distinct values: indices repeat and run out of order
+    indices = np.random.default_rng(seed).integers(0, max(2, n * repeats // 2), (n, repeats))
+    config = NoiseConfig(samples_per_response=20)
+    stream = NoiseStream(seed, device.layout.mode_count, config) if noisy else None
+    whole = measure_batch(device, challenges, stream, indices)
+    parts = [measure_batch(device, challenges[a:b], stream, indices[a:b])
+             for a, b in zip(bounds, bounds[1:]) if a < b]
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 @st.composite
@@ -251,13 +288,14 @@ def test_noisy_repeat_block_memory_is_bounded():
 def test_batch_position_invariance():
     chip = fabricate_chip(8, LARGE_PAIR.chip_spec())
     device = LARGE_PAIR.carve_pair(chip)[1]
-    n = BATCH_SIZES[-1]
+    block = propagation_block(device.layout.mzi_count)
+    n = batch_sizes(device.layout.mzi_count)[-1]
     challenges = random_challenges(3, device.layout.mzi_count, n)
     indices = np.arange(n)[::-1] * 3
     for config in (NoiseConfig(samples_per_response=20), NoiseConfig.disabled()):
         stream = NoiseStream((5, 6), device.layout.mode_count, config)
         batch = measure_batch(device, challenges, stream, indices)
-        for i in (0, 1, MEASURE_BLOCK - 1, MEASURE_BLOCK, n - 1):
+        for i in (0, 1, block - 1, block, n - 1):
             single = measure(device, challenges[i], stream, int(indices[i]))
             assert np.array_equal(batch[i], single.intensities)
         # a challenge repeated at R indices is one row of an (N, R) index matrix

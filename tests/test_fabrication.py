@@ -262,7 +262,7 @@ def test_challenge_validation_and_voltages():
     assert Challenge(levels=(3,), bits=2).voltages == pytest.approx([3 * 7.0 / 4])
 
 
-@pytest.mark.parametrize("value", [0.0, -7.0, np.inf, np.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, -7.0, np.inf, np.nan])
 def test_challenge_rejects_a_non_physical_v2pi(value):
     # an infinite V_2pi would give NaN intensities that only quantize refuses
     message = re.escape(f"v2pi_nominal must be finite and > 0, got {value}")
@@ -270,6 +270,9 @@ def test_challenge_rejects_a_non_physical_v2pi(value):
         Challenge(levels=(1,) * 10, v2pi_nominal=value)
     with pytest.raises(ValueError, match=message):
         _random_challenges(np.random.default_rng(0), 3, 10, v2pi_nominal=value)
+    # checked before from_voltages divides by the grid step
+    with pytest.raises(ValueError, match=message):
+        Challenge.from_voltages([1.75] * 10, v2pi_nominal=value)
 
 
 def test_challenge_digest_and_random():
@@ -331,6 +334,15 @@ def test_challenge_from_voltages_round_trip():
     assert Challenge.from_voltages(ch.voltages) == ch
     with pytest.raises(ValueError):
         Challenge.from_voltages([0.003])
+    with pytest.raises(ValueError, match=re.escape("bits must be >= 1, got 0")):
+        Challenge.from_voltages([0.0], bits=0)
+
+
+@pytest.mark.parametrize("volt", [np.inf, -np.inf, np.nan])
+def test_challenge_from_voltages_rejects_non_finite_voltages(volt):
+    message = re.escape(f"voltage {volt} is not on the 10-bit challenge grid")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Challenge.from_voltages([0.0, volt])
 
 
 def test_effective_voltages_symmetric_leakage():
@@ -486,6 +498,31 @@ def test_negative_indices_are_rejected_before_any_work(noisy, monkeypatch):
         measure_batch(device, challenges, stream, [0, -2, 4])
     with pytest.raises(ValueError, match="got -2"):
         measure_batch(device, challenges, stream, [[0, 1], [3, -2], [4, 5]])
+
+
+@pytest.mark.parametrize("volt", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_non_finite_drive_voltages_are_rejected(volt, noisy, monkeypatch):
+    device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
+    stream = NoiseStream(1, mode_count=8) if noisy else None
+    message = "^drive voltages must be finite$"
+    with pytest.raises(ValueError, match=message):
+        measure(device, [volt] * 10, stream)
+    with pytest.raises(ValueError, match=message):
+        voltages_to_phases(device, [volt] * 10)
+    with pytest.raises(ValueError, match=message):
+        voltages_to_phases(device, [[0.0] * 10, [volt] * 10])
+    # the bad row falls in the second propagation block, before any noise draw
+    block = fabrication._BLOCK_MZI_ROWS // 10
+    voltages = np.zeros((block + 3, 10))
+    voltages[block + 1, 4] = volt
+
+    def forbidden(*args):
+        raise AssertionError("noise drawn before the voltage check")
+
+    monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
+    with pytest.raises(ValueError, match=message):
+        measure_batch(device, voltages, stream, np.arange(len(voltages)))
 
 
 def test_measure_rejects_mismatched_stream():
