@@ -2,10 +2,11 @@
 
 encode turns a dataclass into a dict, one level per nested dataclass;
 tuples stay tuples, which json writes as lists.  decode(cls, payload)
-rebuilds the dataclass, casting every field by its annotation, and raises
-ValueError naming Class.field when a field is missing or has the wrong
-type.  Where a stored layout differs from the fields, the mapping lives at
-that format's one call site.
+rebuilds the dataclass, casting every field by its annotation (a float
+for an int field must be integral), and raises ValueError naming
+Class.field when a field is missing or has the wrong type.  Where a
+stored layout differs from the fields, the mapping lives at that
+format's one call site.
 
 Every stored JSON file is written by write_json and read by read_json,
 which checks its "format" key; canonical_digest is the sha256 that
@@ -100,7 +101,7 @@ def _converters(kind) -> tuple:
                 lambda value: None if value is None else cast(value))
     if origin is tuple and args[1:] == (...,):
         convert, cast = _converters(args[0])
-        cast_all = int_tuple if cast is int else lambda items: tuple(map(cast, items))
+        cast_all = int_tuple if cast is _integer else lambda items: tuple(map(cast, items))
         return (convert and (lambda value: tuple(map(convert, value))),
                 lambda value: cast_all(_sequence(value)))
     if origin is tuple:
@@ -109,17 +110,27 @@ def _converters(kind) -> tuple:
             [cast(item) for cast, item in zip(casts, _sequence(value), strict=True)]
         )
     # int and float cast; a value of any other class must be of that class
-    return None, kind if kind in (int, float) else _exact(kind)
+    if kind is int:
+        return None, _integer
+    return None, float if kind is float else _exact(kind)
+
+
+def _integer(value) -> int:
+    """int(value), but a float that is not integral raises ValueError
+    instead of being truncated: 10.0 gives 10, 20.9 and NaN raise."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def int_tuple(values) -> tuple:
-    """tuple(map(int, values)), about twice as fast when the values are ints
-    already: operator.index passes those through without int()'s parsing."""
+    """tuple(map(_integer, values)), about twice as fast when the values are
+    ints already: operator.index passes those through without int()'s parsing."""
     values = values if isinstance(values, (list, tuple)) else list(values)
     try:
         return tuple(map(operator.index, values))
-    except TypeError:  # floats and strings go through int()
-        return tuple(map(int, values))
+    except TypeError:  # floats and strings go through _integer()
+        return tuple(map(_integer, values))
 
 
 def _exact(kind, name=None):

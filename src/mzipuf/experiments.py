@@ -34,6 +34,7 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     LoosenessSweep,
+    _check_looseness,
     _pair_differences,
     _quantize_rows,
     _responses,
@@ -76,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("need challenge_count >= 1 and repeat_count >= 2")
         if len(self.chip_seeds) not in (1, 2):
             raise ValueError("chip_seeds takes one chip seed or (device A, adversary)")
+        _check_looseness(self.headline_looseness)
+        _check_looseness(self.looseness_max)
         if self.looseness_max < self.headline_looseness:
             raise ValueError("looseness_max must cover headline_looseness")
         if not 0.0 < self.bin_fraction <= 1.0:

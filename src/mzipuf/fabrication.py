@@ -55,6 +55,10 @@ _CLIP_BOUND = 1e-6
 # without running faster.
 _NOISE_CHUNK = 8
 
+# the finest challenge grid: every level below 2**53 is an exact float64,
+# and float(2**bits) cannot overflow
+_MAX_BITS = 53
+
 CHIP_FORMAT = "mzipuf-chip/1"
 DEVICE_FORMAT = "mzipuf-device/1"
 
@@ -314,8 +318,8 @@ def load_device(path, chip: ChipFingerprint) -> DeviceInstance:
 class Challenge:
     """Drive voltages for every device slot, on a 2**bits uniform grid.
 
-    Levels are exact integers in [0, 2**bits); the physical voltage of
-    level q is q * v2pi_nominal / 2**bits.
+    Levels are exact integers in [0, 2**bits), for an int bits from 1 to
+    53; the physical voltage of level q is q * v2pi_nominal / 2**bits.
     """
 
     levels: tuple[int, ...]
@@ -325,6 +329,8 @@ class Challenge:
     def __post_init__(self):
         levels = int_tuple(self.levels)
         object.__setattr__(self, "levels", levels)
+        if type(self.bits) is not int or self.bits > _MAX_BITS:
+            raise ValueError(f"bits must be an integer <= {_MAX_BITS}, got {self.bits!r}")
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
         if not 0 < self.v2pi_nominal < math.inf:
@@ -380,7 +386,8 @@ def _drive_voltages(challenges) -> np.ndarray:
     or of a sequence of Challenges or a voltage matrix (shape (N, MZIs))."""
     if isinstance(challenges, Challenge):
         return challenges.voltages
-    if not isinstance(challenges, np.ndarray) and isinstance(challenges[0], Challenge):
+    if (not isinstance(challenges, np.ndarray) and len(challenges)
+            and isinstance(challenges[0], Challenge)):
         levels = np.array([c.levels for c in challenges], dtype=float)
         steps = np.array([c.v2pi_nominal / float(2**c.bits) for c in challenges])
         return levels * steps[:, None]
@@ -453,7 +460,10 @@ class NoiseConfig:
     samples_per_response: int = 1000
 
     def __post_init__(self):
-        if self.samples_per_response < 1:
+        samples = self.samples_per_response
+        if type(samples) is not int:
+            raise ValueError(f"samples_per_response must be an integer, got {samples!r}")
+        if samples < 1:
             raise ValueError("samples_per_response must be >= 1")
         for name in ("detector_sigma", "coupling_jitter_sigma",
                      "coupling_drift_step", "coupling_drift_bound"):
@@ -646,7 +656,7 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     flat_indices = indices.ravel().tolist()
     if flat_indices and min(flat_indices) < 0:
         raise ValueError(f"measurement indices must be >= 0, got {min(flat_indices)}")
-    out = np.empty(indices.reshape(len(indices), -1).shape + (modes,))
+    out = np.empty((indices[:, None] if indices.ndim == 1 else indices).shape + (modes,))
     block = max(1, _BLOCK_MZI_ROWS // device.layout.mzi_count)
     for start in range(0, len(out), block):
         thetas = voltages_to_phases(device, challenges[start:start + block])

@@ -203,21 +203,24 @@ SPLIT_DEVICES = (
 @given(device=st.sampled_from(SPLIT_DEVICES), noisy=st.booleans(), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def test_measure_batch_equals_concatenated_split(device, noisy, data, seed):
-    # block and noise chunk boundaries fall elsewhere within each piece
+    # block and noise chunk boundaries fall elsewhere within each piece;
+    # repeated cuts give empty pieces.  repeats 0 stands for (N,) indices
     m = device.layout.mzi_count
-    n = data.draw(st.integers(1, propagation_block(m) + 8), label="n")
-    repeats = data.draw(st.integers(1, 3), label="repeats")
+    n = data.draw(st.integers(0, propagation_block(m) + 8), label="n")
+    repeats = data.draw(st.integers(0, 3), label="repeats")
     cuts = data.draw(st.lists(st.integers(0, n), max_size=3), label="cuts")
     bounds = [0, *sorted(cuts), n]
     challenges = random_challenges(seed, m, n)
+    shape = (n, repeats) if repeats else (n,)
     # few distinct values: indices repeat and run out of order
-    indices = np.random.default_rng(seed).integers(0, max(2, n * repeats // 2), (n, repeats))
+    indices = np.random.default_rng(seed).integers(0, max(2, n * repeats // 2), shape)
     config = NoiseConfig(samples_per_response=20)
     stream = NoiseStream(seed, device.layout.mode_count, config) if noisy else None
     whole = measure_batch(device, challenges, stream, indices)
     parts = [measure_batch(device, challenges[a:b], stream, indices[a:b])
-             for a, b in zip(bounds, bounds[1:]) if a < b]
+             for a, b in zip(bounds, bounds[1:])]
     assert np.array_equal(whole, np.concatenate(parts))
+    assert whole.shape == shape + (device.layout.mode_count,)
 
 
 @st.composite

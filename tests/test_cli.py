@@ -300,6 +300,24 @@ def test_experiment_config_file_with_a_bad_bin_fraction_fails_before_measuring(
     )
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"headline_looseness": 0, "looseness_max": 0}, "looseness must be >= 1, got 0"),
+    ({"challenge_count": 20.9}, "ExperimentConfig.challenge_count: expected an integer, got 20.9"),
+    ({"noise": {"samples_per_response": 2.5}},
+     "ExperimentConfig.noise: NoiseConfig.samples_per_response: expected an integer, got 2.5"),
+])
+def test_experiment_config_file_with_a_bad_integer_fails_before_measuring(
+        tmp_path, capsys, monkeypatch, fields, message):
+    def no_measurement(*args):
+        raise AssertionError("measured before the config was checked")
+
+    monkeypatch.setattr("mzipuf.experiments.measure_batch", no_measurement)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"preset": "small-pair", **fields}))
+    assert main(["experiment", "small-pair", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_experiment_adversary_seed(capsys):
     code, out = run_cli(capsys, "experiment", "small-pair",
                         "--challenges", "5", "--repeats", "2", "--no-noise",

@@ -121,7 +121,7 @@ def test_decode_casts_fields_by_annotation():
 
 
 @pytest.mark.parametrize("values", [
-    [3, -1, 2**70], (True, 0), np.arange(4), [np.int64(5), 6], [1.9, "7", -2.5], range(3),
+    [3, -1, 2**70], (True, 0), np.arange(4), [np.int64(5), 6], [1.0, "7", -2.0], range(3),
 ])
 def test_int_tuple_is_tuple_of_int(values):
     cast = int_tuple(iter(values) if isinstance(values, range) else values)
@@ -129,6 +129,10 @@ def test_int_tuple_is_tuple_of_int(values):
     assert all(type(item) is int for item in cast)
     with pytest.raises(TypeError):
         int_tuple([1, None])
+    # a float that is not integral is refused, not truncated
+    for bad in (1.9, -2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {bad!r}")):
+            int_tuple([1, bad])
 
 
 @pytest.mark.parametrize("cls, payload, message", [
@@ -148,6 +152,10 @@ def test_int_tuple_is_tuple_of_int(values):
     (CrpRecord, {"challenge_id": 0, "challenge": {"levels": [1], "bits": 10},
                  "reference": {}, "repeat_stats": None, "consumed": False},
      "CrpRecord.challenge: Challenge.v2pi_nominal is missing"),
+    (VerifyPolicy, {**encode(VerifyPolicy()), "looseness": 1.9},
+     "VerifyPolicy.looseness: expected an integer, got 1.9"),
+    (ExperimentConfig, {**encode(ExperimentConfig()), "chip_seeds": [float("nan")]},
+     "ExperimentConfig.chip_seeds: expected an integer, got nan"),
 ])
 def test_decode_names_the_bad_field(cls, payload, message):
     with pytest.raises(ValueError, match=re.escape(message)):

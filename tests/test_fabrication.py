@@ -260,6 +260,10 @@ def test_challenge_validation_and_voltages():
     with pytest.raises(ValueError):
         Challenge(levels=(1,), bits=0)
     assert Challenge(levels=(3,), bits=2).voltages == pytest.approx([3 * 7.0 / 4])
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.5")):
+        Challenge(levels=(1.5, 2))
+    assert Challenge(levels=(1.0, 2)).levels == (1, 2)
+    assert np.isfinite(Challenge(levels=(2**53 - 1,), bits=53).voltages).all()
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, -7.0, np.inf, np.nan])
@@ -273,6 +277,16 @@ def test_challenge_rejects_a_non_physical_v2pi(value):
     # checked before from_voltages divides by the grid step
     with pytest.raises(ValueError, match=message):
         Challenge.from_voltages([1.75] * 10, v2pi_nominal=value)
+
+
+@pytest.mark.parametrize("bits", [1100, 54, 2.5, True])
+def test_challenge_refuses_bits_off_the_exact_float_grid(bits):
+    # a level of 54 or more bits is not an exact float64; float(2**1100) overflows
+    message = re.escape(f"bits must be an integer <= 53, got {bits!r}")
+    with pytest.raises(ValueError, match=message):
+        Challenge(levels=(1,), bits=bits)
+    with pytest.raises(ValueError, match=message):
+        Challenge.from_voltages([0.0], bits=bits)
 
 
 def test_challenge_digest_and_random():
@@ -417,8 +431,11 @@ def test_full_scale_drive_wraps_by_its_own_v2pi():
 
 
 def test_noise_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples_per_response must be >= 1"):
         NoiseConfig(samples_per_response=0)
+    for samples in (2.5, np.nan, 2.0, True):
+        with pytest.raises(ValueError, match="samples_per_response must be an integer"):
+            NoiseConfig(samples_per_response=samples)
     with pytest.raises(ValueError):
         NoiseConfig(detector_sigma=-1.0)
     assert NoiseConfig.disabled().enabled is False

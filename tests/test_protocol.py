@@ -62,6 +62,18 @@ def test_database_basics():
         db.add(make_record(1, (9, 9)))
 
 
+def test_database_takes_records_from_any_iterable():
+    def records():
+        return [make_record(cid, (cid, 1)) for cid in range(3)]
+
+    built = [CrpDatabase("d", records=form(records())) for form in (list, tuple, iter)]
+    assert built[0] == built[1] == built[2]
+    assert sorted(built[2].records) == [0, 1, 2]
+    assert built[0] != CrpDatabase("d", records=records()[:2])
+    with pytest.raises(ValueError, match="duplicate challenge id 1"):
+        CrpDatabase("d", records=(record for record in [*records(), make_record(1, (0, 0))]))
+
+
 def test_enroll_records_are_complete():
     device = make_device()
     db = enroll(device, challenge_count=12, repeats_per_challenge=3,
