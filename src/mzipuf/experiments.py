@@ -92,6 +92,10 @@ def _config_payload(config: ExperimentConfig) -> dict:
     return {"format": CONFIG_FORMAT, **payload}
 
 
+_INTEGER_FIELDS = ("chip_seeds", "challenge_count", "repeat_count", "seed",
+                   "looseness_max", "headline_looseness")
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
     """Rebuild a config from its stored form (CLI --config files).
 
@@ -103,7 +107,18 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     defaults = encode(ExperimentConfig())
     noise = payload.get("noise", {})
     noise = {**defaults["noise"], **noise} if isinstance(noise, dict) else noise
-    return decode(ExperimentConfig, {**defaults, **payload, "noise": noise, "output_dir": None})
+    payload = {**defaults, **payload, "noise": noise, "output_dir": None}
+    # the codec's int cast reads a JSON true or false as 1 or 0, as stored
+    # CRP ids need; a config's integers must be written as integers
+    where = [(f"ExperimentConfig.{name}", payload[name]) for name in _INTEGER_FIELDS]
+    if isinstance(noise, dict):
+        where.append(("ExperimentConfig.noise: NoiseConfig.samples_per_response",
+                      noise["samples_per_response"]))
+    for name, value in where:
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, bool):
+                raise ValueError(f"{name}: expected an integer, got {item}")
+    return decode(ExperimentConfig, payload)
 
 
 def small_pair_config(**overrides) -> ExperimentConfig:

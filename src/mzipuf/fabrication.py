@@ -50,10 +50,15 @@ _BLOCK_MZI_ROWS = 2048
 _CLIP_BOUND = 1e-6
 
 # measurements sampled together by _noisy_block.  Its largest temporary is
-# the packed (near-dark modes, S) snapshot buffer, about 0.3 MB per 8
-# large-pair measurements at S = 1000; larger chunks grow the peak memory
-# without running faster.
-_NOISE_CHUNK = 8
+# the packed (near-dark modes, S) snapshot buffer, about 0.25 MB per 6
+# large-pair measurements at S = 1000; every noise worker holds one, and
+# larger chunks grow the peak memory without running much faster.
+_NOISE_CHUNK = 6
+
+# the most threads measure_batch's noise pass runs on: peak memory grows by
+# a chunk's buffers per thread, and a third thread ran slower than two on a
+# 2-CPU host
+_NOISE_WORKERS = 2
 
 # the finest challenge grid: every level below 2**53 is an exact float64,
 # and float(2**bits) cannot overflow
@@ -502,7 +507,9 @@ class NoiseStream:
     (seed, index), so replaying any single measurement is deterministic
     regardless of the order measurements are taken in.  The slow drift walk
     is generated once per stream and cached, which keeps it consistent
-    across out-of-order queries.
+    across out-of-order queries.  Extending the walk is not thread-safe:
+    measure_batch extends it to its largest index before it splits the
+    noise pass across threads, which then only read it.
     """
 
     def __init__(self, seed, mode_count: int, config: NoiseConfig | None = None):
@@ -526,10 +533,13 @@ class NoiseStream:
         if min(indices) < 0:
             raise ValueError("measurement_index must be >= 0")
         cfg = self.config
-        while len(self._drift) <= max(indices):
-            step = self._drift_rng.normal(0.0, cfg.coupling_drift_step, self.mode_count)
-            self._walk_end = _reflect(self._walk_end + step, cfg.coupling_drift_bound)
-            self._drift.append(1.0 + self._walk_end)
+        missing = max(indices) + 1 - len(self._drift)
+        if missing > 0:
+            # one call draws the same normals as one call per step
+            steps = self._drift_rng.normal(0.0, cfg.coupling_drift_step, (missing, self.mode_count))
+            for step in steps:
+                self._walk_end = _reflect(self._walk_end + step, cfg.coupling_drift_bound)
+                self._drift.append(1.0 + self._walk_end)
         return np.array([self._drift[i] for i in indices])
 
     def measurement_rng(self, measurement_index: int) -> np.random.Generator:
@@ -638,6 +648,10 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     time, once each, their ideal intensities written to all R of their rows;
     with noise on, the rows are then sampled in place _NOISE_CHUNK at a time
     by _noisy_block, each index from its own substream, as measure does.
+    A noise pass of more than one chunk is shared, chunk by chunk, between
+    the caller and threads (_sample_noise); a row depends only on its
+    index's substream, ideal row and drift row, so the result does not
+    depend on which worker samples it or when.
     """
     indices = np.asarray(indices)
     modes = device.layout.mode_count
@@ -662,11 +676,70 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
         thetas = voltages_to_phases(device, challenges[start:start + block])
         out[start:start + block] = propagate(device.layout, thetas, device.arrays.couplers)[:, None]
     if noisy:
-        flat = out.reshape(-1, modes)
-        for first in range(0, len(flat), _NOISE_CHUNK):
-            last = first + _NOISE_CHUNK
-            _noisy_block(noise, flat_indices[first:last], flat[first:last])
+        _sample_noise(noise, flat_indices, out.reshape(-1, modes))
     return out.reshape(indices.shape + (modes,))
+
+
+def _noise_workers() -> int:
+    """Threads the noise pass may use: the CPUs this process may run on,
+    at most _NOISE_WORKERS."""
+    import os
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS has no sched_getaffinity
+        cpus = os.cpu_count() or 1
+    return min(_NOISE_WORKERS, cpus)
+
+
+def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> None:
+    """measure_batch's noise pass: _noisy_block over the (k, modes) flat,
+    _NOISE_CHUNK rows at a time, on the caller and up to _noise_workers() - 1
+    threads.  Each worker claims the next chunk when it has sampled its
+    last, so a thread that starts late or loses its CPU leaves its share to
+    the others instead of holding up the batch.  Chunks are claimed in row
+    order and a claimed chunk is always sampled, so the exception that
+    reaches the caller, once every thread has ended, is the first failing
+    chunk's, as on one worker."""
+    starts = range(0, len(flat), _NOISE_CHUNK)
+    # a lone chunk, as every measure call has, skips the CPU count's syscall
+    workers = min(_noise_workers(), len(starts)) if len(starts) > 1 else 1
+    if workers == 1:
+        for row in starts:
+            _noisy_block(noise, flat_indices[row:row + _NOISE_CHUNK], flat[row:row + _NOISE_CHUNK])
+        return
+    import threading
+
+    # extending the walk appends to a cache: done here, the threads only read it
+    noise._drift_rows([max(flat_indices)])
+    claims = iter(starts)
+    lock = threading.Lock()
+    errors = {}  # first row of a failed chunk: its exception
+
+    def work():
+        while True:
+            with lock:
+                row = None if errors else next(claims, None)
+            if row is None:
+                return
+            try:
+                _noisy_block(noise, flat_indices[row:row + _NOISE_CHUNK], flat[row:row + _NOISE_CHUNK])
+            except BaseException as exc:  # re-raised on the caller
+                with lock:
+                    errors[row] = exc
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def measure(

@@ -8,16 +8,23 @@ because experiment artifacts are compared byte for byte.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzipuf import fabrication
 from mzipuf.fabrication import (
     LARGE_PAIR,
     SMALL_PAIR,
     _BLOCK_MZI_ROWS,
+    _NOISE_CHUNK,
+    _NOISE_WORKERS,
     Challenge,
     ChipLayoutSpec,
     NoiseConfig,
@@ -181,10 +188,10 @@ def test_noisy_measure_batch_matches_reference(device, seed):
 
 
 # (N, R) index shapes, R None for an (N,) vector: N * R crosses the noise
-# chunk of 8 measurements, and N the large-pair propagation block of 31
+# chunk, and N the large-pair propagation block of 31
 INDEX_SHAPES = (
     (1, None), (7, None), (9, None), (33, None), (1, 8), (1, 9), (1, 17),
-    (3, 3), (2, 5), (4, 8), (33, 1), (34, 2),
+    (1, _NOISE_CHUNK), (1, _NOISE_CHUNK + 1), (3, 3), (2, 5), (4, 8), (33, 1), (34, 2),
 )
 PRESET_DEVICES = tuple(
     preset.carve_pair(fabricate_chip(7, preset.chip_spec()))[0]
@@ -272,20 +279,173 @@ def test_noisy_measure_batch_matches_per_index_sampler(case, seed):
     assert np.array_equal(_noisy_mean(ideal[0], oracle, rows[0][0]), expected[0][0])
 
 
+def noise_workers(workers):
+    """Force the noise pass onto this many workers, whatever the CPU count."""
+    return mock.patch.object(fabrication, "_noise_workers", lambda: workers)
+
+
+@settings(max_examples=20, deadline=None)
+@given(device=st.sampled_from(PRESET_DEVICES), shape=st.sampled_from(((1, 17), (3, 9), (33,))),
+       samples=st.sampled_from((40, 1000)), seed=st.integers(0, 2**32 - 1))
+def test_threaded_noise_pass_equals_one_worker(device, shape, samples, seed):
+    # workers' chunks split a challenge's repeats; every run starts on
+    # a fresh stream, so the threaded runs extend the drift walk themselves
+    challenges = random_challenges(seed, device.layout.mzi_count, shape[0])
+    # few distinct values: indices repeat and run out of order
+    indices = np.random.default_rng(seed).integers(0, max(2, math.prod(shape) // 2), shape)
+    config = NoiseConfig(samples_per_response=samples)
+    results = []
+    for workers in (1, 2, 3):
+        stream = NoiseStream(seed, device.layout.mode_count, config)
+        with noise_workers(workers):
+            results.append(measure_batch(device, challenges, stream, indices))
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], results[2])
+
+
+def test_noise_threads_under_fast_switching():
+    # more workers than CPUs, switching threads every microsecond: the rows
+    # and the drift walk are those of one worker
+    device = PRESET_DEVICES[1]
+    n = 12 * _NOISE_CHUNK
+    challenges = random_challenges(6, device.layout.mzi_count, n)
+    indices = np.arange(n)[::-1] // 2
+    modes = device.layout.mode_count
+    with noise_workers(1):
+        expected = measure_batch(device, challenges, NoiseStream(6, modes), indices)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            stream = NoiseStream(6, modes)
+            with noise_workers(5):
+                assert np.array_equal(measure_batch(device, challenges, stream, indices), expected)
+            assert len(stream._drift) == indices.max() + 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_noise_threads_only_read_the_drift_walk(monkeypatch):
+    # extending the walk appends to a cache: only the calling thread may
+    drift_rows = NoiseStream._drift_rows
+    extended_on = []
+
+    def recording(self, indices):
+        if len(self._drift) <= max(indices):
+            extended_on.append(threading.current_thread())
+        return drift_rows(self, indices)
+
+    monkeypatch.setattr(NoiseStream, "_drift_rows", recording)
+    device = PRESET_DEVICES[1]
+    n = 4 * _NOISE_CHUNK
+    stream = NoiseStream(5, device.layout.mode_count)
+    with noise_workers(2):
+        measure_batch(device, random_challenges(5, device.layout.mzi_count, n), stream,
+                      np.arange(n))
+    assert extended_on == [threading.current_thread()]
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ((4 * _NOISE_CHUNK - 1,), 4 * _NOISE_CHUNK - 1),  # in the last chunk
+    ((1, 4 * _NOISE_CHUNK - 1), 1),  # the first chunk fails too, and wins
+])
+def test_noise_pass_error_reaches_the_caller(monkeypatch, failing, raised):
+    device = PRESET_DEVICES[1]
+    n = 4 * _NOISE_CHUNK
+    measurement_rng = NoiseStream.measurement_rng
+
+    def failing_rng(self, index):
+        if index in failing:
+            raise RuntimeError(f"no substream for {index}")
+        return measurement_rng(self, index)
+
+    monkeypatch.setattr(NoiseStream, "measurement_rng", failing_rng)
+    stream = NoiseStream(3, device.layout.mode_count)
+    threads = threading.active_count()
+    with noise_workers(2), pytest.raises(RuntimeError, match=f"no substream for {raised}$"):
+        measure_batch(device, random_challenges(3, device.layout.mzi_count, n), stream,
+                      np.arange(n))
+    assert threading.active_count() == threads
+
+
+def test_one_noise_chunk_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    device = PRESET_DEVICES[1]
+    challenges = random_challenges(4, device.layout.mzi_count, _NOISE_CHUNK)
+    stream = NoiseStream(4, device.layout.mode_count)
+    with noise_workers(2):
+        single = measure(device, challenges[0], stream, 5)
+        batch = measure_batch(device, challenges, stream, np.arange(_NOISE_CHUNK) + 5)
+        repeats = measure_batch(device, challenges[:1], stream, [np.arange(_NOISE_CHUNK) + 5])
+    assert np.array_equal(batch[0], single.intensities)
+    assert np.array_equal(repeats[0, 0], single.intensities)
+
+
+def test_a_late_noise_thread_leaves_its_chunks_to_the_caller(monkeypatch):
+    # a thread that runs only once it is joined: by then the caller has
+    # claimed and sampled every chunk, in order, so the batch never waits on it
+    joined = []
+
+    class Late(threading.Thread):
+        def start(self):
+            pass
+
+        def join(self, timeout=None):
+            joined.append(self)
+            self.run()
+
+    sampled = []
+    noisy_block = fabrication._noisy_block
+
+    def recording(noise, indices, out):
+        sampled.append((indices[0], bool(joined)))
+        noisy_block(noise, indices, out)
+
+    device = PRESET_DEVICES[1]
+    n = 4 * _NOISE_CHUNK
+    challenges = random_challenges(8, device.layout.mzi_count, n)
+    with noise_workers(1):
+        expected = measure_batch(device, challenges, NoiseStream(8, device.layout.mode_count),
+                                 np.arange(n))
+    monkeypatch.setattr(threading, "Thread", Late)
+    monkeypatch.setattr(fabrication, "_noisy_block", recording)
+    with noise_workers(2):
+        batch = measure_batch(device, challenges, NoiseStream(8, device.layout.mode_count),
+                              np.arange(n))
+    assert np.array_equal(batch, expected)
+    assert len(joined) == 1
+    assert sampled == [(row, False) for row in range(0, n, _NOISE_CHUNK)]
+
+
+# every worker count the noise pass can choose
+WORKER_COUNTS = sorted({1, _NOISE_WORKERS})
+
+
+def peak_bytes(workers, *batch):
+    """Peak traced memory of measure_batch(*batch) on this many workers."""
+    tracemalloc.start()
+    try:
+        with noise_workers(workers):
+            measure_batch(*batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_noisy_repeat_block_memory_is_bounded():
-    # large-pair's 1 x 500 repeat block at S = 1000: only one noise chunk's
-    # snapshot buffer is live at a time (0.5 MB here; 1.3 MB at 32 a chunk)
+    # large-pair's 1 x 500 repeat block at S = 1000: each worker holds one
+    # noise chunk's snapshot buffer at a time (0.44 MB in all on one
+    # worker, 0.79 MB on two; 1.3 MB on one at 32 a chunk)
     device = PRESET_DEVICES[1]
     challenge = random_challenges(0, device.layout.mzi_count, 1)
     stream = NoiseStream((99, 1), device.layout.mode_count)
     measure_batch(device, challenge, stream, [[499]])  # the drift walk is not part of it
-    tracemalloc.start()
-    try:
-        measure_batch(device, challenge, stream, np.arange(500)[None, :])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1024 * 1024
+    for workers in WORKER_COUNTS:
+        peak = peak_bytes(workers, device, challenge, stream, np.arange(500)[None, :])
+        assert peak < 1024 * 1024, workers
 
 
 def test_batch_position_invariance():
@@ -316,12 +476,9 @@ def test_measure_batch_memory_is_bounded():
     chip = fabricate_chip(1234, LARGE_PAIR.chip_spec())
     device = LARGE_PAIR.carve_pair(chip)[0]
     challenges = random_challenges(9, device.layout.mzi_count, 1000)
-    stream = NoiseStream((99, 1), device.layout.mode_count)
-    measure_batch(device, challenges[:1], stream, [0])
-    tracemalloc.start()
-    try:
-        measure_batch(device, challenges, stream, np.arange(1000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 1024 * 1024
+    for workers in WORKER_COUNTS:
+        # a fresh stream: each run extends the drift walk from index 0
+        stream = NoiseStream((99, 1), device.layout.mode_count)
+        measure_batch(device, challenges[:1], stream, [0])
+        peak = peak_bytes(workers, device, challenges, stream, np.arange(1000))
+        assert peak < 2 * 1024 * 1024, workers

@@ -305,6 +305,17 @@ def test_experiment_config_file_with_a_bad_bin_fraction_fails_before_measuring(
     ({"challenge_count": 20.9}, "ExperimentConfig.challenge_count: expected an integer, got 20.9"),
     ({"noise": {"samples_per_response": 2.5}},
      "ExperimentConfig.noise: NoiseConfig.samples_per_response: expected an integer, got 2.5"),
+    # a JSON bool is not an integer, though the codec's cast reads it as one
+    ({"challenge_count": True, "repeat_count": 2},
+     "ExperimentConfig.challenge_count: expected an integer, got True"),
+    ({"repeat_count": True}, "ExperimentConfig.repeat_count: expected an integer, got True"),
+    ({"seed": False}, "ExperimentConfig.seed: expected an integer, got False"),
+    ({"looseness_max": True}, "ExperimentConfig.looseness_max: expected an integer, got True"),
+    ({"headline_looseness": True},
+     "ExperimentConfig.headline_looseness: expected an integer, got True"),
+    ({"chip_seeds": [1234, False]}, "ExperimentConfig.chip_seeds: expected an integer, got False"),
+    ({"noise": {"samples_per_response": True}},
+     "ExperimentConfig.noise: NoiseConfig.samples_per_response: expected an integer, got True"),
 ])
 def test_experiment_config_file_with_a_bad_integer_fails_before_measuring(
         tmp_path, capsys, monkeypatch, fields, message):
