@@ -60,9 +60,9 @@ _NOISE_CHUNK = 6
 # 2-CPU host
 _NOISE_WORKERS = 2
 
-# the finest challenge grid: every level below 2**53 is an exact float64,
-# and float(2**bits) cannot overflow
-_MAX_BITS = 53
+# the finest challenge grid: up to 51 bits round(v / step) recovers every
+# level's voltage; from 52 it can miss by one, and at 53 levels share voltages
+_MAX_BITS = 51
 
 CHIP_FORMAT = "mzipuf-chip/1"
 DEVICE_FORMAT = "mzipuf-device/1"
@@ -324,7 +324,7 @@ class Challenge:
     """Drive voltages for every device slot, on a 2**bits uniform grid.
 
     Levels are exact integers in [0, 2**bits), for an int bits from 1 to
-    53; the physical voltage of level q is q * v2pi_nominal / 2**bits.
+    51; the physical voltage of level q is q * v2pi_nominal / 2**bits.
     """
 
     levels: tuple[int, ...]
@@ -368,9 +368,11 @@ class Challenge:
         levels = []
         for v in np.asarray(volts, dtype=float):
             q = v / step
-            if not math.isfinite(q) or abs(q - round(q)) > 1e-9:
+            level = int(round(q)) if math.isfinite(q) else None
+            # exactly what voltages gives level, or within 1e-9 of it in level units
+            if level is None or (float(level) * step != v and abs(q - level) > 1e-9):
                 raise ValueError(f"voltage {v} is not on the {bits}-bit challenge grid")
-            levels.append(int(round(q)))
+            levels.append(level)
         return cls(levels=tuple(levels), bits=bits, v2pi_nominal=v2pi_nominal)
 
 
@@ -454,7 +456,7 @@ class NoiseConfig:
     normal before clipping, so a mode whose snapshots clip with total
     probability at most 1e-6 gets its mean as one normal draw, exact in
     distribution up to that probability; the other, near-dark modes average
-    samples_per_response clipped snapshots.  _noisy_mean has the details.
+    samples_per_response clipped snapshots.  _noisy_block has the details.
     """
 
     enabled: bool = True
@@ -507,9 +509,7 @@ class NoiseStream:
     (seed, index), so replaying any single measurement is deterministic
     regardless of the order measurements are taken in.  The slow drift walk
     is generated once per stream and cached, which keeps it consistent
-    across out-of-order queries.  Extending the walk is not thread-safe:
-    measure_batch extends it to its largest index before it splits the
-    noise pass across threads, which then only read it.
+    across out-of-order queries.
     """
 
     def __init__(self, seed, mode_count: int, config: NoiseConfig | None = None):
@@ -573,8 +573,11 @@ def _one_draw_threshold(samples: int) -> float:
     return high
 
 
-def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -> np.ndarray:
-    """Mean of S = samples_per_response noisy snapshots of an ideal vector.
+def _noisy_block(noise: NoiseStream, indices, drift: np.ndarray, out: np.ndarray) -> None:
+    """Means of S = samples_per_response noisy snapshots of k ideal vectors,
+    in place: row j of the C-contiguous (k, modes) out holds an ideal vector
+    on entry and its measurement at the j-th of a list of k indices on
+    return; row j of drift holds that index's drift factors.
 
     Before clipping, a snapshot drift * (1 + jitter) * ideal + detector is
     normal with mean mu = drift * ideal and variance sigma**2 =
@@ -583,32 +586,18 @@ def _noisy_mean(ideal: np.ndarray, noise: NoiseStream, measurement_index: int) -
     is at most _CLIP_BOUND, and short of that event their mean is exactly
     N(mu, sigma**2 / S).  Such a mode takes one draw, max(mu + sigma /
     sqrt(S) * z, 0), exact in distribution up to _CLIP_BOUND.  Every other
-    mode averages S clipped snapshots max(mu + sigma * z, 0).  Draw order
-    within the index's substream: one normal per mode, for every mode, then
-    the (other modes, S) snapshot block.  This is the one-row case of
-    _noisy_block.
-    """
-    out = np.array([ideal], dtype=float)
-    _noisy_block(noise, [measurement_index], out)
-    return out[0]
+    mode averages S clipped snapshots max(mu + sigma * z, 0).
 
-
-def _noisy_block(noise: NoiseStream, indices, out: np.ndarray) -> None:
-    """_noisy_mean of k measurements at once, in place: row j of the
-    C-contiguous (k, modes) out holds an ideal vector on entry and its
-    measurement at the j-th of a list of k indices on return.
-
-    Bit for bit the rows _noisy_mean gives one at a time.  Each index draws
-    from its own substream in _noisy_mean's order: its row of one-draw
-    normals, then its near-dark rows of one packed (near-dark modes, S)
+    Each index draws from its own substream: one normal per mode, for every
+    mode, then its near-dark rows of one packed (near-dark modes, S)
     snapshot buffer.  Every other step is elementwise and runs once over the
     block; each snapshot row is C-contiguous, so its mean sums as a lone
-    row's does.
+    row's does, and a row's result does not depend on the block it is in.
     """
     cfg = noise.config
     samples = cfg.samples_per_response
     # out is read only here, before its first draw overwrites it
-    mean = noise._drift_rows(indices) * out
+    mean = drift * out
     sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
     dark = mean < _one_draw_threshold(samples) * sigma
     total = np.count_nonzero(dark)
@@ -648,10 +637,9 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     time, once each, their ideal intensities written to all R of their rows;
     with noise on, the rows are then sampled in place _NOISE_CHUNK at a time
     by _noisy_block, each index from its own substream, as measure does.
-    A noise pass of more than one chunk is shared, chunk by chunk, between
-    the caller and threads (_sample_noise); a row depends only on its
-    index's substream, ideal row and drift row, so the result does not
-    depend on which worker samples it or when.
+    The chunks are shared between the caller and threads (_sample_noise); a
+    row depends only on its index's substream, ideal row and drift row, so
+    the result does not depend on which worker samples it or when.
     """
     indices = np.asarray(indices)
     modes = device.layout.mode_count
@@ -675,7 +663,7 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     for start in range(0, len(out), block):
         thetas = voltages_to_phases(device, challenges[start:start + block])
         out[start:start + block] = propagate(device.layout, thetas, device.arrays.couplers)[:, None]
-    if noisy:
+    if noisy and flat_indices:
         _sample_noise(noise, flat_indices, out.reshape(-1, modes))
     return out.reshape(indices.shape + (modes,))
 
@@ -695,23 +683,19 @@ def _noise_workers() -> int:
 def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> None:
     """measure_batch's noise pass: _noisy_block over the (k, modes) flat,
     _NOISE_CHUNK rows at a time, on the caller and up to _noise_workers() - 1
-    threads.  Each worker claims the next chunk when it has sampled its
-    last, so a thread that starts late or loses its CPU leaves its share to
-    the others instead of holding up the batch.  Chunks are claimed in row
-    order and a claimed chunk is always sampled, so the exception that
-    reaches the caller, once every thread has ended, is the first failing
-    chunk's, as on one worker."""
+    threads.  The caller reads the drift walk for every row first, so the
+    workers share nothing but their disjoint rows of flat.  Each worker
+    claims the next chunk when it has sampled its last, so a thread that
+    starts late or loses its CPU leaves its share to the others instead of
+    holding up the batch.  Chunks are claimed in row order and a claimed
+    chunk is always sampled, so the exception that reaches the caller, once
+    every thread has ended, is the first failing chunk's, as on one worker."""
+    import threading
+
     starts = range(0, len(flat), _NOISE_CHUNK)
     # a lone chunk, as every measure call has, skips the CPU count's syscall
     workers = min(_noise_workers(), len(starts)) if len(starts) > 1 else 1
-    if workers == 1:
-        for row in starts:
-            _noisy_block(noise, flat_indices[row:row + _NOISE_CHUNK], flat[row:row + _NOISE_CHUNK])
-        return
-    import threading
-
-    # extending the walk appends to a cache: done here, the threads only read it
-    noise._drift_rows([max(flat_indices)])
+    drift = noise._drift_rows(flat_indices)
     claims = iter(starts)
     lock = threading.Lock()
     errors = {}  # first row of a failed chunk: its exception
@@ -722,8 +706,9 @@ def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> N
                 row = None if errors else next(claims, None)
             if row is None:
                 return
+            rows = slice(row, row + _NOISE_CHUNK)
             try:
-                _noisy_block(noise, flat_indices[row:row + _NOISE_CHUNK], flat[row:row + _NOISE_CHUNK])
+                _noisy_block(noise, flat_indices[rows], drift[rows], flat[rows])
             except BaseException as exc:  # re-raised on the caller
                 with lock:
                     errors[row] = exc

@@ -8,6 +8,7 @@ because experiment artifacts are compared byte for byte.
 """
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -29,7 +30,7 @@ from mzipuf.fabrication import (
     ChipLayoutSpec,
     NoiseConfig,
     NoiseStream,
-    _noisy_mean,
+    _noisy_block,
     _one_draw_threshold,
     carve_device,
     fabricate_chip,
@@ -108,6 +109,13 @@ def per_index_noisy_mean(ideal, noise, index):
         np.maximum(snapshots, 0.0, out=snapshots)
         out[dark] = snapshots.mean(axis=1)
     return out
+
+
+def noisy_mean(ideal, noise, index):
+    """One measurement of an ideal vector: the block sampler on one row."""
+    out = np.array([ideal], dtype=float)
+    _noisy_block(noise, [index], noise._drift_rows([index]), out)
+    return out[0]
 
 
 @st.composite
@@ -275,8 +283,8 @@ def test_noisy_measure_batch_matches_per_index_sampler(case, seed):
     expected = [[per_index_noisy_mean(ideal[i], oracle, index) for index in row]
                 for i, row in enumerate(rows)]
     assert np.array_equal(batch, np.reshape(expected, indices.shape + (modes,)))
-    # _noisy_mean is the one-row case of the block sampler
-    assert np.array_equal(_noisy_mean(ideal[0], oracle, rows[0][0]), expected[0][0])
+    # a lone row through the block sampler, as measure samples one
+    assert np.array_equal(noisy_mean(ideal[0], oracle, rows[0][0]), expected[0][0])
 
 
 def noise_workers(workers):
@@ -295,12 +303,28 @@ def test_threaded_noise_pass_equals_one_worker(device, shape, samples, seed):
     indices = np.random.default_rng(seed).integers(0, max(2, math.prod(shape) // 2), shape)
     config = NoiseConfig(samples_per_response=samples)
     results = []
+    threads = threading.active_count()
     for workers in (1, 2, 3):
         stream = NoiseStream(seed, device.layout.mode_count, config)
         with noise_workers(workers):
             results.append(measure_batch(device, challenges, stream, indices))
+        assert threading.active_count() == threads
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], results[2])
+
+
+@pytest.mark.parametrize("affinity, workers", [({0}, 1), ({0, 1, 2, 3}, 2)])
+def test_noise_workers_follow_the_cpu_affinity(monkeypatch, affinity, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    assert fabrication._noise_workers() == workers
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (8, 2)])
+def test_noise_workers_fall_back_to_the_cpu_count(monkeypatch, cpus, workers):
+    # macOS has no os.sched_getaffinity, and os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert fabrication._noise_workers() == workers
 
 
 def test_noise_threads_under_fast_switching():
@@ -400,9 +424,9 @@ def test_a_late_noise_thread_leaves_its_chunks_to_the_caller(monkeypatch):
     sampled = []
     noisy_block = fabrication._noisy_block
 
-    def recording(noise, indices, out):
+    def recording(noise, indices, drift, out):
         sampled.append((indices[0], bool(joined)))
-        noisy_block(noise, indices, out)
+        noisy_block(noise, indices, drift, out)
 
     device = PRESET_DEVICES[1]
     n = 4 * _NOISE_CHUNK

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzipuf import fabrication
@@ -17,6 +17,7 @@ from mzipuf.fabrication import (
     PAIR_PRESETS,
     SMALL_PAIR,
     V2PI_NOMINAL,
+    _MAX_BITS,
     Challenge,
     ChipLayoutSpec,
     DeviceInstance,
@@ -263,7 +264,7 @@ def test_challenge_validation_and_voltages():
     with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.5")):
         Challenge(levels=(1.5, 2))
     assert Challenge(levels=(1.0, 2)).levels == (1, 2)
-    assert np.isfinite(Challenge(levels=(2**53 - 1,), bits=53).voltages).all()
+    assert np.isfinite(Challenge(levels=(2**51 - 1,), bits=51).voltages).all()
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, -7.0, np.inf, np.nan])
@@ -279,14 +280,27 @@ def test_challenge_rejects_a_non_physical_v2pi(value):
         Challenge.from_voltages([1.75] * 10, v2pi_nominal=value)
 
 
-@pytest.mark.parametrize("bits", [1100, 54, 2.5, True])
+@pytest.mark.parametrize("bits", [1100, 54, 52, 2.5, True])
 def test_challenge_refuses_bits_off_the_exact_float_grid(bits):
-    # a level of 54 or more bits is not an exact float64; float(2**1100) overflows
-    message = re.escape(f"bits must be an integer <= 53, got {bits!r}")
+    # from 52 bits from_voltages cannot always invert voltages, a level of 54
+    # or more bits is not an exact float64, and float(2**1100) overflows
+    message = re.escape(f"bits must be an integer <= 51, got {bits!r}")
     with pytest.raises(ValueError, match=message):
         Challenge(levels=(1,), bits=bits)
     with pytest.raises(ValueError, match=message):
         Challenge.from_voltages([0.0], bits=bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, _MAX_BITS), v2pi=st.floats(1e-3, 1e6),
+       top_bits=st.lists(st.integers(0, 2**_MAX_BITS - 1), min_size=1, max_size=40))
+@example(bits=24, v2pi=7.3, top_bits=[10686443 << (_MAX_BITS - 24)])
+def test_challenge_voltages_round_trip_on_every_grid(bits, v2pi, top_bits):
+    # a level's voltage is rounded, so q * step / step can miss q by more
+    # than any fixed tolerance in level units on the wider grids
+    levels = [q >> (_MAX_BITS - bits) for q in top_bits]
+    challenge = Challenge(levels=levels, bits=bits, v2pi_nominal=v2pi)
+    assert Challenge.from_voltages(challenge.voltages, bits, v2pi) == challenge
 
 
 def test_challenge_digest_and_random():

@@ -22,7 +22,7 @@ from mzipuf.fabrication import (
     NoiseConfig,
     NoiseStream,
     _CLIP_BOUND,
-    _noisy_mean,
+    _noisy_block,
     _one_draw_threshold,
     fabricate_chip,
     measure_batch,
@@ -44,6 +44,13 @@ def reference_noisy_mean(ideal, noise, index):
     jitter = rng.normal(0.0, cfg.coupling_jitter_sigma, shape)
     detector = rng.normal(0.0, cfg.detector_sigma, shape)
     return np.clip(drift * (1.0 + jitter) * ideal + detector, 0.0, None).mean(axis=0)
+
+
+def noisy_mean(ideal, noise, index):
+    """One measurement of an ideal vector: the block sampler on one row."""
+    out = np.array([ideal], dtype=float)
+    _noisy_block(noise, [index], noise._drift_rows([index]), out)
+    return out[0]
 
 
 def ks_statistic(a, b):
@@ -94,7 +101,7 @@ def test_mode_means_match_snapshot_oracle(samples):
     ])
     sampler = NoiseStream((21, samples), len(ideal), cfg)
     oracle = NoiseStream((22, samples), len(ideal), cfg)
-    new = np.array([_noisy_mean(ideal, sampler, i) for i in range(DRAWS)])
+    new = np.array([noisy_mean(ideal, sampler, i) for i in range(DRAWS)])
     old = np.array([reference_noisy_mean(ideal, oracle, i) for i in range(DRAWS)])
     for mode in range(len(ideal)):
         assert ks_statistic(new[:, mode], old[:, mode]) < ks_critical(DRAWS, DRAWS), mode
@@ -112,7 +119,7 @@ def test_quantized_bins_match_snapshot_oracle():
     sampler = NoiseStream((31, 1), len(ideal), cfg)
     oracle = NoiseStream((31, 2), len(ideal), cfg)
     draws = 400
-    new = [euclidean_distance(reference, quantize(_noisy_mean(ideal, sampler, i)))
+    new = [euclidean_distance(reference, quantize(noisy_mean(ideal, sampler, i)))
            for i in range(draws)]
     old = [euclidean_distance(reference, quantize(reference_noisy_mean(ideal, oracle, i)))
            for i in range(draws)]
@@ -140,7 +147,7 @@ ideal_vectors = st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_siz
 def test_noisy_means_are_finite_and_non_negative(ideal, cfg, index):
     ideal = np.array(ideal)
     stream = NoiseStream(index, len(ideal), cfg)
-    out = _noisy_mean(ideal, stream, index)
+    out = noisy_mean(ideal, stream, index)
     assert out.shape == ideal.shape
     assert np.isfinite(out).all() and (out >= 0.0).all()
     if cfg.detector_sigma == 0.0:
