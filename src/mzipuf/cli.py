@@ -144,16 +144,17 @@ def _cmd_experiment(args) -> int:
             else experiments.large_pair_config
         )
         config = builder()
-    overrides = {"output_dir": args.out}
+    # each seed flag replaces its own entry: device A's chip, then the adversary's
+    chip_seeds = list(config.chip_seeds)
+    if args.chip_seed is not None:
+        chip_seeds[0] = args.chip_seed
+    if args.adversary_seed is not None:
+        chip_seeds[1:] = [args.adversary_seed]
+    overrides = {"chip_seeds": tuple(chip_seeds)}
     for name, value in (("challenge_count", args.challenges), ("repeat_count", args.repeats),
                         ("seed", args.seed)):
         if value is not None:
             overrides[name] = value
-    base_seed = args.chip_seed if args.chip_seed is not None else config.chip_seeds[0]
-    if args.adversary_seed is not None:
-        overrides["chip_seeds"] = (base_seed, args.adversary_seed)
-    elif args.chip_seed is not None:
-        overrides["chip_seeds"] = (base_seed,)
     if args.no_noise:
         overrides["noise"] = fabrication.NoiseConfig.disabled()
     report = experiments.run_pair_experiment(dataclasses_replace(config, **overrides))
@@ -170,6 +171,7 @@ def _cmd_experiment(args) -> int:
     if report.optimal_looseness is not None:
         print(f"optimal looseness = {report.optimal_looseness}")
     if args.out:
+        experiments.emit_artifacts(report, args.out)
         print(f"artifacts -> {args.out}")
     return 0
 

@@ -70,7 +70,6 @@ class ExperimentConfig:
     looseness_max: int = 10
     headline_looseness: int = 2
     clone_devices: bool = False
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.challenge_count < 1 or self.repeat_count < 2:
@@ -86,10 +85,8 @@ class ExperimentConfig:
 
 
 def _config_payload(config: ExperimentConfig) -> dict:
-    """The stored config: its fields without output_dir, which is never written."""
-    payload = encode(config)
-    del payload["output_dir"]
-    return {"format": CONFIG_FORMAT, **payload}
+    """The stored config: a format tag and every field."""
+    return {"format": CONFIG_FORMAT, **encode(config)}
 
 
 _INTEGER_FIELDS = ("chip_seeds", "challenge_count", "repeat_count", "seed",
@@ -100,14 +97,14 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     """Rebuild a config from its stored form (CLI --config files).
 
     preset is required; every other missing field, nested noise fields
-    included, keeps its default.  output_dir is never read from a file.
+    included, keeps its default.
     """
     if not isinstance(payload, dict) or "preset" not in payload:
         raise ValueError("experiment config names no preset")
     defaults = encode(ExperimentConfig())
     noise = payload.get("noise", {})
     noise = {**defaults["noise"], **noise} if isinstance(noise, dict) else noise
-    payload = {**defaults, **payload, "noise": noise, "output_dir": None}
+    payload = {**defaults, **payload, "noise": noise}
     # the codec's int cast reads a JSON true or false as 1 or 0, as stored
     # CRP ids need; a config's integers must be written as integers
     where = [(f"ExperimentConfig.{name}", payload[name]) for name in _INTEGER_FIELDS]
@@ -180,7 +177,7 @@ def _optimal_looseness(sweep: LoosenessSweep, separations) -> int:
 
 
 def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run a mirrored pair experiment and aggregate every headline metric."""
+    """Run a mirrored pair experiment and aggregate its metrics; emit_artifacts writes them."""
     preset = preset_by_name(config.preset)
     chip_a = fabricate_chip(config.chip_seeds[0], preset.chip_spec())
     device_a, device_b = preset.carve_pair(chip_a)
@@ -272,9 +269,6 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.sweep = sweep
         report.sweep_separations = separations
         report.optimal_looseness = _optimal_looseness(sweep, separations)
-
-    if config.output_dir is not None:
-        emit_artifacts(report, config.output_dir)
     return report
 
 
@@ -313,21 +307,22 @@ def _summary_payload(report: ExperimentReport) -> dict:
     }
 
 
-def emit_artifacts(report: ExperimentReport, output_dir) -> dict:
+def emit_artifacts(report: ExperimentReport, directory) -> dict:
     """Write config, raw distances, histograms, summary, and a manifest.
 
-    Returns the manifest mapping of file name to sha256.  All content is a
-    pure function of the report, so reruns produce identical bytes.
+    The only writer of a pair run's files.  Returns the manifest mapping of
+    file name to sha256.  All content is a pure function of the report, so
+    reruns produce identical bytes.
     """
-    os.makedirs(output_dir, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     written = []
 
     def emit_json(name, payload):
-        write_json(payload, os.path.join(output_dir, name))
+        write_json(payload, os.path.join(directory, name))
         written.append(name)
 
     def emit_csv(name, header, rows):
-        _write_csv(os.path.join(output_dir, name), header, rows)
+        _write_csv(os.path.join(directory, name), header, rows)
         written.append(name)
 
     emit_json("experiment_config.json", _config_payload(report.config))
@@ -379,7 +374,7 @@ def emit_artifacts(report: ExperimentReport, output_dir) -> dict:
 
     manifest = {}
     for name in sorted(written):
-        with open(os.path.join(output_dir, name), "rb") as handle:
+        with open(os.path.join(directory, name), "rb") as handle:
             manifest[name] = hashlib.sha256(handle.read()).hexdigest()
     emit_json("manifest.json", {"format": MANIFEST_FORMAT, "files": manifest})
     return manifest

@@ -18,7 +18,7 @@ response.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -601,8 +601,7 @@ def _noisy_block(noise: NoiseStream, indices, drift: np.ndarray, out: np.ndarray
     sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
     dark = mean < _one_draw_threshold(samples) * sigma
     total = np.count_nonzero(dark)
-    # per-index counts take a slower reduction, which an all-bright block skips
-    counts = dark.sum(axis=1).tolist() if total else [0] * len(indices)
+    counts = dark.sum(axis=1).tolist()
     # one row of snapshots per near-dark mode: a row mean reduces contiguous memory
     snapshots = np.empty((total, samples))
     first = 0
@@ -758,9 +757,8 @@ class PairPreset:
     chip_mzi_count: int
     slot_maps: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def chip_spec(self, **overrides) -> ChipLayoutSpec:
-        spec = ChipLayoutSpec(mzi_count=self.chip_mzi_count)
-        return replace(spec, **overrides) if overrides else spec
+    def chip_spec(self) -> ChipLayoutSpec:
+        return ChipLayoutSpec(mzi_count=self.chip_mzi_count)
 
     def carve_pair(self, chip: ChipFingerprint) -> tuple[DeviceInstance, DeviceInstance]:
         return tuple(carve_device(chip, self.columns, slots) for slots in self.slot_maps)

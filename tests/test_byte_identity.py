@@ -6,12 +6,16 @@ purpose re-pins them and says why.
 """
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mzipuf.experiments import large_pair_config, run_pair_experiment, small_pair_config
+from mzipuf.experiments import (
+    emit_artifacts,
+    large_pair_config,
+    run_pair_experiment,
+    small_pair_config,
+)
 from mzipuf.fabrication import (
     LARGE_PAIR,
     NoiseConfig,
@@ -37,7 +41,7 @@ def sha256_of(path) -> str:
      "d33e48ac77e6da7ad44e8618964b757065b601d6602e662982569881fd8de556"),
 ], ids=["small-pair-noisy", "large-pair"])
 def test_experiment_manifest_is_pinned(tmp_path, config, digest):
-    run_pair_experiment(replace(config, output_dir=str(tmp_path)))
+    emit_artifacts(run_pair_experiment(config), tmp_path)
     assert sha256_of(tmp_path / "manifest.json") == digest
 
 

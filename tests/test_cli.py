@@ -337,6 +337,28 @@ def test_experiment_adversary_seed(capsys):
     assert "complete collisions" in out
 
 
+@pytest.mark.parametrize("stored, flags, expected", [
+    ([1234, 777], ["--chip-seed", "5"], [5, 777]),
+    ([1234, 777], ["--adversary-seed", "9"], [1234, 9]),
+    ([1234, 777], ["--chip-seed", "5", "--adversary-seed", "9"], [5, 9]),
+    ([1234], ["--chip-seed", "5"], [5]),
+    ([1234], ["--adversary-seed", "9"], [1234, 9]),
+    ([1234, 777], [], [1234, 777]),
+])
+def test_experiment_seed_flags_replace_only_their_own_config_entry(
+        tmp_path, capsys, stored, flags, expected):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "preset": "small-pair", "chip_seeds": stored, "challenge_count": 5,
+        "repeat_count": 2, "noise": {"enabled": False},
+    }))
+    out_dir = tmp_path / "out"
+    code, _ = run_cli(capsys, "experiment", "small-pair", "--config", str(config_path),
+                      *flags, "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "experiment_config.json").read_text())["chip_seeds"] == expected
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mzipuf.cli", "count-crps", "--table"],

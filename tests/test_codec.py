@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mzipuf._codec import decode, encode, int_tuple
-from mzipuf.experiments import ExperimentConfig
+from mzipuf.experiments import ExperimentConfig, _config_payload, config_from_dict
 from mzipuf.fabrication import (
     ChipFingerprint,
     ChipLayoutSpec,
@@ -50,7 +50,6 @@ def experiment_configs(draw):
         looseness_max=headline + draw(st.integers(0, 5)),
         headline_looseness=headline,
         clone_devices=draw(st.booleans()),
-        output_dir=draw(st.none() | st.text(max_size=8)),
     )
 
 
@@ -91,6 +90,7 @@ def test_verify_policy_round_trip(policy):
 @given(config=experiment_configs())
 def test_experiment_config_round_trip(config):
     assert json_round_trip(config) == config
+    assert config_from_dict(json.loads(json.dumps(_config_payload(config)))) == config
 
 
 @settings(max_examples=30, deadline=None,

@@ -124,6 +124,15 @@ def test_distinguishable_count_smallest_pyramid():
     assert to_scientific(distinguishable_crp_count(4, 10)) == "1.19e5"
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1, 10), "columns and mzi_count must be >= 0"),
+    ((4, 10, 0), "bits_per_mzi must be >= 1"),
+])
+def test_distinguishable_count_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        distinguishable_crp_count(*args)
+
+
 def test_distinguishable_count_accepts_prebuilt_table():
     table = tree_counts_by_height(11, 66)
     for columns, mzis in PYRAMID_SIZES:

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +58,7 @@ def test_config_dict_round_trip():
     config = quick_config(seed=7, bin_fraction=0.01, looseness_max=6,
                           headline_looseness=3, clone_devices=True)
     rebuilt = config_from_dict(json.loads(json.dumps(_config_payload(config))))
-    assert rebuilt == replace(config, output_dir=None)
+    assert rebuilt == config
 
 
 def test_config_from_preset_alone_takes_dataclass_defaults():
@@ -185,8 +184,8 @@ def test_artifacts_written_and_manifested(tmp_path):
     (tmp_path / "artifacts").mkdir()
     stray = out / "leftover.txt"
     stray.write_text("not part of this run\n")
-    config = quick_config(output_dir=str(out))
-    run_pair_experiment(config)
+    config = quick_config()
+    emit_artifacts(run_pair_experiment(config), out)
 
     expected = {
         "experiment_config.json", "inter_distances.csv", "intra_distances.csv",
@@ -211,7 +210,7 @@ def test_artifacts_written_and_manifested(tmp_path):
     assert summary["looseness_sweep"] is None
 
     saved_config = json.loads((out / "experiment_config.json").read_text())
-    assert config_from_dict(saved_config) == replace(config, output_dir=None)
+    assert config_from_dict(saved_config) == config
 
 
 def test_artifacts_identical_across_reruns(tmp_path):
@@ -227,9 +226,9 @@ def test_artifacts_identical_across_reruns(tmp_path):
 def test_large_pair_artifacts_include_sweep(tmp_path):
     config = large_pair_config(
         challenge_count=4, repeat_count=2,
-        noise=NoiseConfig.disabled(), output_dir=str(tmp_path / "big"),
+        noise=NoiseConfig.disabled(),
     )
-    run_pair_experiment(config)
+    emit_artifacts(run_pair_experiment(config), tmp_path / "big")
     path = tmp_path / "big" / "looseness_sweep.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == ("looseness,repeated_mean,repeated_std,"

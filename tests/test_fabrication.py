@@ -512,6 +512,24 @@ def test_measure_batch_rejects_non_integer_indices(indices, noisy):
         )
 
 
+@pytest.mark.parametrize("indices", [np.arange(2), np.array(0), np.zeros((3, 1, 1), dtype=int)],
+                         ids=["short", "0-d", "3-d"])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_measure_batch_rejects_indices_of_the_wrong_shape(indices, noisy):
+    device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
+    stream = NoiseStream(1, mode_count=8) if noisy else None
+    challenges = [Challenge(levels=(q,) * 10) for q in (0, 5, 9)]
+    message = ("3 challenges need indices of shape (N,) or (N, R) with N = 3, "
+               f"got shape {indices.shape}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        measure_batch(device, challenges, stream, indices)
+
+
+def test_noise_stream_needs_a_mode():
+    with pytest.raises(ValueError, match="^mode_count must be >= 1$"):
+        NoiseStream(1, mode_count=0)
+
+
 @pytest.mark.parametrize("noisy", [False, True])
 def test_negative_indices_are_rejected_before_any_work(noisy, monkeypatch):
     device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
@@ -695,7 +713,6 @@ def test_pair_presets():
         assert c.heater(slot) == d.heater(slot)
 
 
-def test_preset_spec_overrides():
-    spec = SMALL_PAIR.chip_spec(phase_offset_span=0.0)
-    assert spec.phase_offset_span == 0.0
-    assert spec.mzi_count == SMALL_PAIR.chip_mzi_count
+def test_preset_chip_spec():
+    for preset in (SMALL_PAIR, LARGE_PAIR):
+        assert preset.chip_spec() == ChipLayoutSpec(mzi_count=preset.chip_mzi_count)
