@@ -55,7 +55,9 @@ class ExperimentConfig:
     """Inputs of a pair experiment; everything downstream derives from these.
 
     chip_seeds has one entry normally; a second entry fabricates device B
-    from a different chip to model a cloning attempt.  seed drives the
+    from a different chip to model a cloning attempt.  clone_devices, the
+    degenerate control case, makes device B device A and takes one chip
+    seed.  preset must name a PAIR_PRESETS entry.  seed drives the
     challenge draw and both devices' noise streams through namespaced
     substreams.
     """
@@ -72,10 +74,14 @@ class ExperimentConfig:
     clone_devices: bool = False
 
     def __post_init__(self):
+        preset_by_name(self.preset)
         if self.challenge_count < 1 or self.repeat_count < 2:
             raise ValueError("need challenge_count >= 1 and repeat_count >= 2")
         if len(self.chip_seeds) not in (1, 2):
             raise ValueError("chip_seeds takes one chip seed or (device A, adversary)")
+        if self.clone_devices and len(self.chip_seeds) == 2:
+            raise ValueError("clone_devices uses device A as device B, "
+                             "so chip_seeds takes no adversary seed")
         _check_looseness(self.headline_looseness)
         _check_looseness(self.looseness_max)
         if self.looseness_max < self.headline_looseness:

@@ -15,7 +15,8 @@ import contextlib
 import json
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,12 +54,13 @@ class ExhaustedDatabaseError(RuntimeError):
     """Raised when every enrolled challenge has already been consumed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrpRecord:
     """One enrolled challenge-response pair.
 
     repeat_stats summarizes the Euclidean spread of the enrollment repeats
     around the stored reference; consumed marks one-time-use state.
+    Records are values: consuming one replaces it in its database.
     """
 
     challenge_id: int
@@ -66,6 +68,11 @@ class CrpRecord:
     reference: QuantizedResponse
     repeat_stats: DistanceStats | None = None
     consumed: bool = False
+
+    @cached_property
+    def _line(self) -> str:
+        """The record's database line; the record is frozen, so encoded once."""
+        return _row_line(self)
 
 
 @dataclass(frozen=True)
@@ -146,9 +153,9 @@ class CrpDatabase:
 
         A record row stores its id under "id", its challenge's fields
         flattened into the row, and its reference bins under "reference"
-        (their bin fraction is the header's).  A record still holding the
-        very values load decoded from a line is written as that line once
-        it is known to be the line encoding gives.
+        (their bin fraction is the header's).  Records are frozen, so each
+        encodes its line once, on the first save that writes it; issuing a
+        challenge replaces its record with a new one, encoded anew.
 
         The file is written to a new file beside it that then replaces it,
         so a crash of this process mid-write leaves the old file whole and
@@ -169,7 +176,7 @@ class CrpDatabase:
             with os.fdopen(fd, "w") as handle:
                 handle.write(_to_json({"format": DB_FORMAT, **encode(header)}) + "\n")
                 for cid in sorted(self.records):
-                    handle.write(_memo.line_of(self.records[cid]) + "\n")
+                    handle.write(self.records[cid]._line + "\n")
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(temp, target)
@@ -186,7 +193,7 @@ class CrpDatabase:
         # one line parsed at a time: the parsed rows are garbage right after
         header = decode(_DbHeader, check_format(_json_object(lines[0]), DB_FORMAT, "CRP database"))
         db = cls(header.device_digest, header.bin_fraction,
-                 _memo.records(lines[1:], header.bin_fraction), header.policy,
+                 _memo_records(lines[1:], header.bin_fraction), header.policy,
                  header.collision_pairs)
         if len(db) != header.record_count:
             raise ValueError(
@@ -232,59 +239,18 @@ class _DbHeader:
     policy: VerifyPolicy | None
 
 
-@dataclass(slots=True)
-class _MemoRow:
-    """A database line and the record decoded from it, which is never handed out."""
-
-    line: str
-    record: CrpRecord
-    # whether line is the one encoding gives; unknown until save first asks
-    canonical: bool | None = None
+# the rows of the last database file load read: (line, bin fraction), every
+# input of a row's decode, to the frozen record decoded from it, which load
+# hands out as it is; holding one file's rows bounds the memo
+_memo: dict[tuple[str, float], CrpRecord] = {}
 
 
-class _RowMemo:
-    """The rows of the last database file load read in this process.
-
-    records finds a row by its line and the header's bin fraction, every
-    input of the row's decode, and skips the decode.  line_of hands save
-    a row's line for a record still holding the row's very values, once
-    one encode has shown that line to be the record's.  Holding one
-    file's rows bounds the memo.
-    """
-
-    def __init__(self):
-        self._by_line: dict[tuple[str, float], _MemoRow] = {}
-        self._by_id: dict[int, _MemoRow] = {}
-
-    def records(self, lines, bin_fraction: float) -> list[CrpRecord]:
-        """Fresh records for a file's row lines; the memo keeps only their rows."""
-        rows = [self._by_line.get((line, bin_fraction))
-                or _MemoRow(line, _decode_row(line, bin_fraction)) for line in lines]
-        self._by_line = {(row.line, bin_fraction): row for row in rows}
-        self._by_id = {row.record.challenge_id: row for row in rows}
-        # copies, so no caller's edit reaches the memo; a positional call takes
-        # half the time of CrpRecord(**vars(record)), 0.1 ms per 200-row load
-        return [CrpRecord(r.challenge_id, r.challenge, r.reference, r.repeat_stats, r.consumed)
-                for r in (row.record for row in rows)]
-
-    def line_of(self, record: CrpRecord) -> str:
-        """The line save writes for record."""
-        cid = record.challenge_id
-        row = self._by_id.get(cid) if type(cid) is int else None
-        kept = row.record if row is not None else None
-        if (kept is None or type(record) is not CrpRecord
-                or record.challenge is not kept.challenge or record.reference is not kept.reference
-                or record.repeat_stats is not kept.repeat_stats
-                or record.consumed is not kept.consumed):
-            return _row_line(record)
-        if row.canonical is None:
-            line = _row_line(record)
-            row.canonical = line == row.line
-            return line
-        return row.line if row.canonical else _row_line(record)
-
-
-_memo = _RowMemo()
+def _memo_records(lines, bin_fraction: float) -> list[CrpRecord]:
+    """The records of a file's row lines, decoding only lines the memo lacks."""
+    global _memo
+    _memo = {(line, bin_fraction): _memo.get((line, bin_fraction))
+             or _decode_row(line, bin_fraction) for line in lines}
+    return [_memo[line, bin_fraction] for line in lines]
 
 
 def audit_collisions(db: CrpDatabase) -> CollisionReport:
@@ -346,16 +312,17 @@ def enroll(
 def issue_challenge(db: CrpDatabase, rng: np.random.Generator | None = None) -> CrpRecord:
     """Pick an unconsumed challenge uniformly at random and consume it.
 
-    The candidates are read from the records on every draw, so a record
+    The consumed record replaces the picked one in db and is returned.  The
+    candidates are read from the records on every draw, so a record
     consumed by any other path is never issued.
     """
     pool = db.unconsumed_ids()
     if not pool:
         raise ExhaustedDatabaseError("all enrolled challenges have been consumed")
     rng = rng if rng is not None else np.random.default_rng()
-    record = db.records[pool[int(rng.integers(len(pool)))]]
-    record.consumed = True
-    return record
+    cid = pool[int(rng.integers(len(pool)))]
+    db.records[cid] = replace(db.records[cid], consumed=True)
+    return db.records[cid]
 
 
 def verify(

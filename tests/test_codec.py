@@ -39,9 +39,10 @@ noise_configs = st.builds(
 @st.composite
 def experiment_configs(draw):
     headline = draw(st.integers(1, 20))
+    chip_seeds = tuple(draw(st.lists(counts, min_size=1, max_size=2)))
     return ExperimentConfig(
         preset=draw(st.sampled_from(("small-pair", "large-pair"))),
-        chip_seeds=tuple(draw(st.lists(counts, min_size=1, max_size=2))),
+        chip_seeds=chip_seeds,
         challenge_count=draw(st.integers(1, 10**6)),
         repeat_count=draw(st.integers(2, 10**6)),
         seed=draw(counts),
@@ -49,7 +50,8 @@ def experiment_configs(draw):
         bin_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
         looseness_max=headline + draw(st.integers(0, 5)),
         headline_looseness=headline,
-        clone_devices=draw(st.booleans()),
+        # a clone run takes one chip seed
+        clone_devices=len(chip_seeds) == 1 and draw(st.booleans()),
     )
 
 

@@ -65,7 +65,7 @@ def make_db(rng_seed=3, challenge_count=6) -> CrpDatabase:
     db = enroll(carve_device(chip, 4, tuple(range(10))), challenge_count,
                 repeats_per_challenge=3, rng_seed=rng_seed)
     db.policy = VerifyPolicy(looseness=2, lhd_threshold=1, l2_threshold=3.5)
-    db.records[1].repeat_stats = None
+    db.records[1] = dataclasses.replace(db.records[1], repeat_stats=None)
     return db
 
 
@@ -74,7 +74,7 @@ IDS = sorted(BASE.records)
 OTHER_TEXT = oracle_text(make_db(rng_seed=4, challenge_count=3))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TaggedRecord(CrpRecord):
     """A record subclass whose extra field save writes into its row."""
 
@@ -102,7 +102,8 @@ REPLACEMENTS = {
                                             record.reference.bin_fraction)),
     "new stats": lambda record: dataclasses.replace(
         record, repeat_stats=distance_stats([record.challenge_id, 2.5])),
-    "subclass": lambda record: TaggedRecord(**vars(record)),
+    "subclass": lambda record: TaggedRecord(
+        **{f.name: getattr(record, f.name) for f in dataclasses.fields(record)}),
     # True == 1 and False == 0, but json writes them as true and false
     "id as bool": lambda record: dataclasses.replace(
         record, challenge_id=bool(record.challenge_id)) if record.challenge_id in (0, 1) else record,
@@ -159,7 +160,8 @@ class MemoAgainstOracle(RuleBasedStateMachine):
 
     @rule(cid=st.sampled_from(IDS))
     def flip_consumed(self, cid):
-        self.db.records[cid].consumed = not self.db.records[cid].consumed
+        record = self.db.records[cid]
+        self.db.records[cid] = dataclasses.replace(record, consumed=not record.consumed)
 
     @rule(cid=st.sampled_from(IDS), how=st.sampled_from(sorted(REPLACEMENTS)))
     def replace_record(self, cid, how):
@@ -198,7 +200,7 @@ def test_save_encodes_every_record_that_no_longer_holds_its_loaded_values(tmp_pa
     for cid, how in enumerate(("id as bool", "id as bool", "subclass", "equal copies",
                                "new reference", "new stats")):
         db.records[cid] = REPLACEMENTS[how](db.records[cid])
-    db.records[5].consumed = not db.records[5].consumed
+    db.records[5] = dataclasses.replace(db.records[5], consumed=not db.records[5].consumed)
     db.save(path)
     assert path.read_bytes() == oracle_text(db).encode()
     assert CrpDatabase.load(path) == oracle_load(path)
@@ -208,12 +210,14 @@ def test_mutating_one_loaded_db_leaves_a_second_load_alone(tmp_path):
     path = tmp_path / "db.jsonl"
     BASE.save(path)
     first = CrpDatabase.load(path)
-    first.records[0].consumed = True
-    first.records[2].challenge = Challenge(levels=(5,) * 10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.records[0].consumed = True
+    first.records[0] = dataclasses.replace(first.records[0], consumed=True)
+    first.records[2] = dataclasses.replace(first.records[2], challenge=Challenge(levels=(5,) * 10))
     first.records[3] = equal_copies(first.records[3])
     second = CrpDatabase.load(path)
     assert second == oracle_load(path) == BASE
-    assert first.records[0] is not second.records[0]
+    assert first != second
     assert not second.records[0].consumed
 
 
@@ -267,8 +271,8 @@ def test_memo_holds_only_the_last_loaded_files_rows(tmp_path):
     CrpDatabase.load(a)
     CrpDatabase.load(b)
     rows = b.read_text().splitlines()[1:]
-    assert sorted(protocol._memo._by_line) == sorted((line, BASE.bin_fraction) for line in rows)
-    assert sorted(protocol._memo._by_id) == [0, 1, 2, 3]
+    assert sorted(protocol._memo) == sorted((line, BASE.bin_fraction) for line in rows)
+    assert sorted(r.challenge_id for r in protocol._memo.values()) == [0, 1, 2, 3]
 
 
 def test_save_failing_mid_write_keeps_the_old_file(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_config_validation():
         ExperimentConfig(chip_seeds=(1, 2, 3))
     with pytest.raises(ValueError):
         ExperimentConfig(looseness_max=1, headline_looseness=2)
+    unknown = r"unknown preset 'nope'; available: \['large-pair', 'small-pair'\]"
+    with pytest.raises(ValueError, match=unknown):
+        ExperimentConfig(preset="nope")
+    with pytest.raises(ValueError, match=unknown):
+        config_from_dict({"preset": "nope"})
+    clone = "clone_devices uses device A as device B, so chip_seeds takes no adversary seed"
+    with pytest.raises(ValueError, match=clone):
+        quick_config(chip_seeds=(1234, 777), clone_devices=True)
+    with pytest.raises(ValueError, match=clone):
+        replace(quick_config(clone_devices=True), chip_seeds=(1234, 777))
 
 
 def test_config_dict_round_trip():

@@ -1,6 +1,7 @@
 """Unit tests for enrollment, issuance, and verification."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_database_save_load_round_trip(tmp_path):
     device = make_device()
     db = enroll(device, challenge_count=6, repeats_per_challenge=2, rng_seed=9)
     db.policy = VerifyPolicy(looseness=2, lhd_threshold=1, l2_threshold=5.0)
-    db.records[2].consumed = True
+    db.records[2] = replace(db.records[2], consumed=True)
     path = tmp_path / "db.jsonl"
     db.save(path)
     loaded = CrpDatabase.load(path)
@@ -193,9 +194,11 @@ def test_database_load_rejects_bad_files(tmp_path):
 
 def test_issue_consumes_and_exhausts():
     db = make_db([(1, 2)])
+    enrolled = db.records[0]
     record = issue_challenge(db, np.random.default_rng(0))
     assert record.challenge_id == 0
     assert record.consumed
+    assert db.records[0] is record and not enrolled.consumed
     assert db.unconsumed_ids() == []
     with pytest.raises(ExhaustedDatabaseError):
         issue_challenge(db, np.random.default_rng(0))
@@ -214,7 +217,7 @@ def test_issue_never_repeats_and_covers_pool():
 def test_issue_skips_preconsumed_records():
     db = make_db([(i, i) for i in range(400)])
     for cid in range(0, 400, 2):
-        db.records[cid].consumed = True
+        db.records[cid] = replace(db.records[cid], consumed=True)
     rng = np.random.default_rng(23)
     seen = [issue_challenge(db, rng).challenge_id for _ in range(200)]
     assert all(cid % 2 == 1 for cid in seen)
@@ -226,7 +229,7 @@ def test_issue_never_repeats_a_record_consumed_elsewhere():
     rng = np.random.default_rng(0)
     first = issue_challenge(db, rng).challenge_id
     elsewhere = min(set(range(3)) - {first})
-    db.records[elsewhere].consumed = True
+    db.records[elsewhere] = replace(db.records[elsewhere], consumed=True)
     last = issue_challenge(db, rng).challenge_id
     assert {first, elsewhere, last} == {0, 1, 2}
     with pytest.raises(ExhaustedDatabaseError):
