@@ -8,31 +8,58 @@ Class.field when a field is missing or has the wrong type.  Where a
 stored layout differs from the fields, the mapping lives at that
 format's one call site.
 
-Every stored JSON file is written by write_json and read by read_json,
-which checks its "format" key; canonical_digest is the sha256 that
-identifies a chip, a device and a challenge.
+Every stored file, JSON, CSV or CRP database, is written by write_text;
+json_text renders a JSON one and read_json reads it back, checking its
+"format" key.  canonical_digest is the sha256 that identifies a chip, a
+device and a challenge.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import operator
+import os
+import stat
 import types
 import typing
 from functools import cache, partial
 
 
-def write_json(payload: dict, path) -> None:
-    """Write a stored file: sorted keys, indent 2, a trailing newline."""
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def write_text(path, text: str) -> None:
+    """Write a stored file through a new file beside path that then replaces it.
+
+    A crash of this process mid-write leaves the old file whole and no
+    temporary file behind; with no fsync, power loss is not covered.  The
+    directory must be writable, and a symlink at path is followed.  An
+    existing file keeps its permission bits, a new one gets open()'s (0666
+    less the umask); either way the writer owns the file.  newline="" keeps
+    text's newlines as they are, so the bytes match on every platform.
+    """
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target),
+                        f".{os.path.basename(target)}.{os.urandom(8).hex()}.tmp")
+    handle = open(temp, "x", newline="")  # "x": create it, never open an existing file
+    try:
+        with handle:
+            handle.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def json_text(payload: dict) -> str:
+    """A stored JSON file's text: sorted keys, indent 2, a trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def read_json(path, expected: str, what: str) -> dict:
-    """Read a stored file written by write_json, checking its format."""
+    """Read a stored JSON file (see json_text), checking its format."""
     with open(path) as handle:
         return check_format(json.load(handle), expected, what)
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._codec import decode, encode, write_json
+from ._codec import decode, encode, json_text, write_text
 from .fabrication import (
     NoiseConfig,
     NoiseStream,
@@ -103,12 +104,18 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     """Rebuild a config from its stored form (CLI --config files).
 
     preset is required; every other missing field, nested noise fields
-    included, keeps its default.
+    included, keeps its default.  A key that is not a field, besides the
+    top-level "format", raises ValueError.
     """
     if not isinstance(payload, dict) or "preset" not in payload:
         raise ValueError("experiment config names no preset")
     defaults = encode(ExperimentConfig())
     noise = payload.get("noise", {})
+    for name, given, fields in (("ExperimentConfig", payload, {*defaults, "format"}),
+                                ("ExperimentConfig.noise: NoiseConfig", noise, defaults["noise"])):
+        for key in given if isinstance(given, dict) else ():
+            if key not in fields:
+                raise ValueError(f"{name} has no field {key!r}")
     noise = {**defaults["noise"], **noise} if isinstance(noise, dict) else noise
     payload = {**defaults, **payload, "noise": noise}
     # the codec's int cast reads a JSON true or false as 1 or 0, as stored
@@ -285,11 +292,12 @@ def _digest_of_digests(digests) -> str:
     return rolled.hexdigest()
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(header, rows) -> str:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _summary_payload(report: ExperimentReport) -> dict:
@@ -321,24 +329,23 @@ def emit_artifacts(report: ExperimentReport, directory) -> dict:
     reruns produce identical bytes.
     """
     os.makedirs(directory, exist_ok=True)
-    written = []
+    manifest = {}
+    for name, text in _artifact_texts(report):
+        write_text(os.path.join(directory, name), text)
+        manifest[name] = hashlib.sha256(text.encode()).hexdigest()
+    write_text(os.path.join(directory, "manifest.json"),
+               json_text({"format": MANIFEST_FORMAT, "files": manifest}))
+    return manifest
 
-    def emit_json(name, payload):
-        write_json(payload, os.path.join(directory, name))
-        written.append(name)
 
-    def emit_csv(name, header, rows):
-        _write_csv(os.path.join(directory, name), header, rows)
-        written.append(name)
-
-    emit_json("experiment_config.json", _config_payload(report.config))
-    emit_csv(
-        "inter_distances.csv",
+def _artifact_texts(report: ExperimentReport):
+    """(file name, text) of each artifact but the manifest, rendered one at a time."""
+    yield "experiment_config.json", json_text(_config_payload(report.config))
+    yield "inter_distances.csv", _csv_text(
         ["challenge_index", "challenge_digest", "lhd", "l2"],
         [(i, d, lhd, repr(l2)) for i, d, lhd, l2 in report.inter_rows],
     )
-    emit_csv(
-        "intra_distances.csv",
+    yield "intra_distances.csv", _csv_text(
         ["device", "repeat_index", "lhd", "l2"],
         [(dev, k, lhd, repr(l2)) for dev, k, lhd, l2 in report.intra_rows],
     )
@@ -353,10 +360,9 @@ def emit_artifacts(report: ExperimentReport, directory) -> dict:
             if stats is not None
             else []
         )
-        emit_csv(name, ["bin_low", "bin_high", "count"], rows)
+        yield name, _csv_text(["bin_low", "bin_high", "count"], rows)
     if report.sweep is not None:
-        emit_csv(
-            "looseness_sweep.csv",
+        yield "looseness_sweep.csv", _csv_text(
             ["looseness", "repeated_mean", "repeated_std", "random_mean",
              "random_std", "separation"],
             [
@@ -376,11 +382,4 @@ def emit_artifacts(report: ExperimentReport, directory) -> dict:
                 )
             ],
         )
-    emit_json("summary.json", _summary_payload(report))
-
-    manifest = {}
-    for name in sorted(written):
-        with open(os.path.join(directory, name), "rb") as handle:
-            manifest[name] = hashlib.sha256(handle.read()).hexdigest()
-    emit_json("manifest.json", {"format": MANIFEST_FORMAT, "files": manifest})
-    return manifest
+    yield "summary.json", json_text(_summary_payload(report))

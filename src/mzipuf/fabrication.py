@@ -23,7 +23,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._codec import canonical_digest, decode, encode, int_tuple, read_json, write_json
+from ._codec import canonical_digest, decode, encode, int_tuple, json_text, read_json, write_text
 from .mesh import (
     TWO_PI,
     CouplerArrays,
@@ -181,7 +181,7 @@ def _chip_payload(chip: ChipFingerprint) -> dict:
 
 def save_chip(chip: ChipFingerprint, path) -> None:
     """Write the fingerprint as versioned JSON; floats round-trip exactly."""
-    write_json(_chip_payload(chip), path)
+    write_text(path, json_text(_chip_payload(chip)))
 
 
 def load_chip(path) -> ChipFingerprint:
@@ -269,7 +269,7 @@ def carve_device(chip: ChipFingerprint, columns: int, slot_to_global) -> DeviceI
     ids must be valid and distinct within the device.
     """
     layout = build_mesh(columns)
-    slots = tuple(int(g) for g in slot_to_global)
+    slots = int_tuple(slot_to_global)
     if len(slots) != layout.mzi_count:
         raise ValueError(
             f"{columns}-column mesh needs {layout.mzi_count} slots, got {len(slots)}"
@@ -309,7 +309,7 @@ class _DeviceFile:
 def save_device(device: DeviceInstance, path) -> None:
     """Write a device descriptor (references its chip by digest)."""
     stored = _DeviceFile(device.chip.digest(), device.layout.columns, device.slot_to_global)
-    write_json({"format": DEVICE_FORMAT, **encode(stored)}, path)
+    write_text(path, json_text({"format": DEVICE_FORMAT, **encode(stored)}))
 
 
 def load_device(path, chip: ChipFingerprint) -> DeviceInstance:

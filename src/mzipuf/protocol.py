@@ -11,16 +11,13 @@ must pass.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import stat
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from ._codec import check_format, decode, encode
+from ._codec import check_format, decode, encode, write_text
 from .fabrication import (
     Challenge,
     DeviceInstance,
@@ -156,33 +153,13 @@ class CrpDatabase:
         (their bin fraction is the header's).  Records are frozen, so each
         encodes its line once, on the first save that writes it; issuing a
         challenge replaces its record with a new one, encoded anew.
-
-        The file is written to a new file beside it that then replaces it,
-        so a crash of this process mid-write leaves the old file whole and
-        no temporary file behind.  Nothing is flushed to disk (no fsync),
-        so this does not protect against power loss.  The directory must be
-        writable, and a symlink at path is followed.  An existing file keeps
-        its permission bits, a new one gets open()'s (0666 less the umask);
-        either way the writer owns the file.
+        _codec.write_text writes the file, so a crash leaves the old one whole.
         """
         header = _DbHeader(self.device_digest, self.bin_fraction, len(self.records),
                            self.collision_pairs, self.policy)
-        target = os.path.realpath(path)
-        temp = os.path.join(os.path.dirname(target),
-                            f".{os.path.basename(target)}.{os.urandom(8).hex()}.tmp")
-        # the mode open(path, "w") gives a new file; the kernel applies the umask
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(_to_json({"format": DB_FORMAT, **encode(header)}) + "\n")
-                for cid in sorted(self.records):
-                    handle.write(self.records[cid]._line + "\n")
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
-            os.replace(temp, target)
-        except BaseException:
-            os.unlink(temp)
-            raise
+        lines = [_to_json({"format": DB_FORMAT, **encode(header)})]
+        lines += [self.records[cid]._line for cid in sorted(self.records)]
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "CrpDatabase":

@@ -316,6 +316,10 @@ def test_experiment_config_file_with_a_bad_bin_fraction_fails_before_measuring(
     ({"chip_seeds": [1234, False]}, "ExperimentConfig.chip_seeds: expected an integer, got False"),
     ({"noise": {"samples_per_response": True}},
      "ExperimentConfig.noise: NoiseConfig.samples_per_response: expected an integer, got True"),
+    # a misspelt field is refused, not left at its default
+    ({"challenge_cout": 5}, "ExperimentConfig has no field 'challenge_cout'"),
+    ({"noise": {"sampels_per_response": 10}},
+     "ExperimentConfig.noise: NoiseConfig has no field 'sampels_per_response'"),
 ])
 def test_experiment_config_file_with_a_bad_integer_fails_before_measuring(
         tmp_path, capsys, monkeypatch, fields, message):

@@ -203,7 +203,7 @@ def test_artifacts_written_and_manifested(tmp_path):
         "hist_inter_lhd.csv", "hist_inter_l2.csv", "hist_intra_lhd.csv",
         "hist_intra_l2.csv", "summary.json", "manifest.json",
     }
-    assert expected <= set(os.listdir(out))
+    assert set(os.listdir(out)) == expected | {"leftover.txt"}
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["files"]) == expected - {"manifest.json"}

@@ -1,6 +1,7 @@
 """Unit tests for fabrication randomness, carving, and noisy measurement."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -132,6 +133,21 @@ def test_chip_save_load_round_trip(tmp_path):
     assert loaded.digest() == chip.digest()
 
 
+def test_save_chip_failing_over_an_existing_file_keeps_it(tmp_path, monkeypatch):
+    path = tmp_path / "chip.json"
+    save_chip(small_chip(seed=55), path)
+    before = path.read_bytes()
+
+    def failing_replace(*args):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        save_chip(small_chip(seed=56), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["chip.json"]
+
+
 def test_load_chip_rejects_wrong_format(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"format": "something-else/9"}))
@@ -167,6 +183,8 @@ def test_carve_validation():
         carve_device(chip, 4, (0,) * 10)              # duplicate sites
     with pytest.raises(ValueError):
         carve_device(chip, 4, tuple(range(11, 21)))   # id 20 off chip
+    with pytest.raises(ValueError, match="expected an integer, got 0.9"):
+        carve_device(chip, 4, [0.9, *range(1, 9), 9.7])  # not truncated to 0..9
 
 
 def test_carve_local_ground_loops_follow_slot_map():
