@@ -59,7 +59,7 @@ def json_text(payload: dict) -> str:
 
 
 def read_json(path, expected: str, what: str) -> dict:
-    """Read a stored JSON file (see json_text), checking its format."""
+    """Read a JSON file that write_text stored as json_text, checking its format."""
     with open(path) as handle:
         return check_format(json.load(handle), expected, what)
 
