@@ -10,8 +10,8 @@ format's one call site.
 
 Every stored file, JSON, CSV or CRP database, is written by write_text;
 json_text renders a JSON one and read_json reads it back, checking its
-"format" key.  canonical_digest is the sha256 that identifies a chip, a
-device and a challenge.
+"format" key.  canonical_digest, the sha256 of canonical_text, identifies
+a chip, a device and a challenge.
 """
 
 from __future__ import annotations
@@ -72,10 +72,14 @@ def check_format(payload, expected: str, what: str) -> dict:
     return payload
 
 
+def canonical_text(payload) -> str:
+    """payload as compact JSON with sorted keys (tuples as lists)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_digest(payload) -> str:
-    """sha256 of payload as compact JSON with sorted keys (tuples as lists)."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """sha256 of canonical_text(payload)."""
+    return hashlib.sha256(canonical_text(payload).encode()).hexdigest()
 
 
 def encode(obj) -> dict:

@@ -26,13 +26,19 @@ def _cmd_fabricate(args) -> int:
 
 
 def _cmd_carve(args) -> int:
+    # a flag the chosen carving would ignore is refused, not dropped
+    if args.preset:
+        if args.columns is not None or args.slots is not None:
+            raise SystemExit("carve takes --preset or --columns and --slots, not both")
+    elif args.which is not None:
+        raise SystemExit("--which picks a device of a --preset pair")
+    elif args.columns is None or args.slots is None:
+        raise SystemExit("carve needs either --preset or both --columns and --slots")
     chip = fabrication.load_chip(args.chip)
     if args.preset:
         preset = fabrication.preset_by_name(args.preset)
-        device = preset.carve_pair(chip)[args.which]
+        device = preset.carve_pair(chip)[args.which or 0]
     else:
-        if args.columns is None or args.slots is None:
-            raise SystemExit("carve needs either --preset or both --columns and --slots")
         slots = [int(s) for s in args.slots.split(",")]
         device = fabrication.carve_device(chip, args.columns, slots)
     fabrication.save_device(device, args.out)
@@ -195,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("carve", help="carve a pyramid device from a chip")
     p.add_argument("--chip", required=True)
     p.add_argument("--preset", choices=sorted(fabrication.PAIR_PRESETS))
-    p.add_argument("--which", type=int, choices=(0, 1), default=0,
-                   help="which device of the preset pair")
+    p.add_argument("--which", type=int, choices=(0, 1),
+                   help="which device of the preset pair (default 0)")
     p.add_argument("--columns", type=int)
     p.add_argument("--slots", help="comma-separated global MZI ids, column-major")
     p.add_argument("--out", required=True)

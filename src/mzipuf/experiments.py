@@ -21,11 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._codec import decode, encode, json_text, write_text
+from ._codec import check_format, decode, encode, json_text, write_text
 from .fabrication import (
     NoiseConfig,
     NoiseStream,
-    _random_challenges,
+    _level_digests,
+    _level_voltages,
+    _random_levels,
     fabricate_chip,
     measure_batch,
     preset_by_name,
@@ -105,10 +107,13 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
     preset is required; every other missing field, nested noise fields
     included, keeps its default.  A key that is not a field, besides the
-    top-level "format", raises ValueError.
+    top-level "format", raises ValueError, and so does a "format" other
+    than CONFIG_FORMAT.
     """
     if not isinstance(payload, dict) or "preset" not in payload:
         raise ValueError("experiment config names no preset")
+    if "format" in payload:
+        check_format(payload, CONFIG_FORMAT, "stored experiment config")
     defaults = encode(ExperimentConfig())
     noise = payload.get("noise", {})
     for name, given, fields in (("ExperimentConfig", payload, {*defaults, "format"}),
@@ -205,10 +210,13 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     stream_a = NoiseStream((config.seed, 1), modes, config.noise)
     stream_b = NoiseStream((config.seed, 2), modes, config.noise)
 
+    # the challenges as one level matrix, driven and named row by row
     challenge_rng = np.random.default_rng((config.seed, 0))
-    challenges = _random_challenges(
+    challenge_levels = _random_levels(
         challenge_rng, config.challenge_count, device_a.layout.mzi_count
     )
+    digests = _level_digests(challenge_levels)
+    volts = _level_voltages(challenge_levels)
 
     def bins(device, stream, batch, indices):
         measured = measure_batch(device, batch, stream, indices)
@@ -219,12 +227,12 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     headline = config.headline_looseness
     levels = range(1, config.looseness_max + 1)
     indices = np.arange(count)
-    mirrored = (bins(device_a, stream_a, challenges, indices),
-                bins(device_b, stream_b, challenges, indices))
+    mirrored = (bins(device_a, stream_a, volts, indices),
+                bins(device_b, stream_b, volts, indices))
     inter, inter_counts = _pair_differences(*mirrored, levels)
     inter_rows = tuple(zip(
         indices.tolist(),
-        [challenge.digest() for challenge in challenges],
+        digests,
         inter_counts[:, headline - 1].tolist(),
         _row_l2(inter).tolist(),
     ))
@@ -239,7 +247,7 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     intra_rows = []
     repeated_pairs = []
     for label, device, stream in (("A", device_a, stream_a), ("B", device_b, stream_b)):
-        repeats = bins(device, stream, challenges[:1], repeat_indices)
+        repeats = bins(device, stream, volts[:1], repeat_indices)
         reference, *reps = _responses(repeats, config.bin_fraction)
         for k, rep in enumerate(reps, start=1):
             repeated_pairs.append((reference, rep))
@@ -270,7 +278,7 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         intra_lhd=intra_lhd,
         intra_l2=intra_l2,
         separation_sigma=separation,
-        challenge_set_digest=_digest_of_digests(row[1] for row in inter_rows),
+        challenge_set_digest=_digest_of_digests(digests),
         inter_rows=inter_rows,
         intra_rows=tuple(intra_rows),
     )

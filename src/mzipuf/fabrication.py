@@ -17,13 +17,23 @@ response.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
-from ._codec import canonical_digest, decode, encode, int_tuple, json_text, read_json, write_text
+from ._codec import (
+    canonical_digest,
+    canonical_text,
+    decode,
+    encode,
+    int_tuple,
+    json_text,
+    read_json,
+    write_text,
+)
 from .mesh import (
     TWO_PI,
     CouplerArrays,
@@ -351,9 +361,9 @@ class Challenge:
         return np.asarray(self.levels, dtype=float) * step
 
     def digest(self) -> str:
-        return canonical_digest(
-            {"levels": self.levels, "bits": self.bits, "v2pi": self.v2pi_nominal}
-        )
+        """canonical_digest({"levels": levels, "bits": bits, "v2pi": v2pi_nominal})."""
+        return _level_digests(np.array([self.levels], dtype=np.int64),
+                              self.bits, self.v2pi_nominal)[0]
 
     @classmethod
     def random(cls, rng: np.random.Generator, mzi_count: int, bits: int = 10,
@@ -376,16 +386,50 @@ class Challenge:
         return cls(levels=tuple(levels), bits=bits, v2pi_nominal=v2pi_nominal)
 
 
-def _random_challenges(rng: np.random.Generator, count: int, mzi_count: int, bits: int = 10,
-                       v2pi_nominal: float = V2PI_NOMINAL) -> list[Challenge]:
-    """count random Challenges from one (count, mzi_count) integer draw.
+def _random_levels(rng: np.random.Generator, count: int, mzi_count: int,
+                   bits: int = 10) -> np.ndarray:
+    """The (count, mzi_count) level matrix of count random challenges, in one
+    integer draw.
 
     numpy's Generator.integers draws a matrix element by element, so the
     levels, and the generator state after them, equal those of count
     Challenge.random calls in a row.
     """
-    levels = rng.integers(0, 2**bits, size=(count, mzi_count)).tolist()
+    return rng.integers(0, 2**bits, size=(count, mzi_count))
+
+
+def _random_challenges(rng: np.random.Generator, count: int, mzi_count: int, bits: int = 10,
+                       v2pi_nominal: float = V2PI_NOMINAL) -> list[Challenge]:
+    """count random Challenges, one per row of _random_levels."""
+    levels = _random_levels(rng, count, mzi_count, bits).tolist()
     return [Challenge(levels=row, bits=bits, v2pi_nominal=v2pi_nominal) for row in levels]
+
+
+def _level_voltages(levels: np.ndarray, bits: int = 10,
+                    v2pi_nominal: float = V2PI_NOMINAL) -> np.ndarray:
+    """Drive voltages of each row of an integer level matrix, bit for bit
+    those _drive_voltages gives for the Challenges of its rows."""
+    return levels.astype(float) * (v2pi_nominal / float(2**bits))
+
+
+def _level_digests(levels: np.ndarray, bits: int = 10,
+                   v2pi_nominal: float = V2PI_NOMINAL) -> list[str]:
+    """The digest of the Challenge of each row of an integer level matrix.
+
+    Rows must lie on the grid, as Challenge checks them.  canonical_text
+    puts the levels between the same two strings on every row, so those
+    come from one payload with no levels and each row only adds its own.
+    """
+    top = 2**bits
+    if levels.size and (levels.min() < 0 or levels.max() >= top):
+        q = levels[(levels < 0) | (levels >= top)][0]  # the first offender, row by row
+        raise ValueError(f"level {q} outside [0, {top})")
+    # bits and v2pi are numbers, so "[]" is the empty levels list
+    head, tail = canonical_text({"levels": [], "bits": bits, "v2pi": v2pi_nominal}).split("[]")
+    return [
+        hashlib.sha256(f"{head}[{','.join(map(str, row))}]{tail}".encode()).hexdigest()
+        for row in levels.tolist()
+    ]
 
 
 def _drive_voltages(challenges) -> np.ndarray:

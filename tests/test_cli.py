@@ -91,6 +91,36 @@ def test_fabricate_and_carve(tmp_path, capsys):
         main(["carve", "--chip", str(chip_path), "--out", str(tmp_path / "x.json")])
 
 
+SLOTS = ",".join(str(i) for i in range(10))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--preset", "small-pair", "--columns", "4", "--slots", SLOTS],
+     "carve takes --preset or --columns and --slots, not both"),
+    (["--preset", "small-pair", "--slots", SLOTS],
+     "carve takes --preset or --columns and --slots, not both"),
+    (["--columns", "4", "--slots", SLOTS, "--which", "1"],
+     "--which picks a device of a --preset pair"),
+], ids=["preset-and-explicit", "preset-and-slots", "which-without-preset"])
+def test_carve_refuses_flags_it_would_ignore(tmp_path, flags, message):
+    chip_path, out = tmp_path / "chip.json", tmp_path / "bad.json"
+    main(["fabricate", "--seed", "5", "--mzis", "20", "--out", str(chip_path)])
+    with pytest.raises(SystemExit, match=message):
+        main(["carve", "--chip", str(chip_path), *flags, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_carve_which_0_is_the_preset_default(tmp_path, capsys):
+    chip_path = tmp_path / "chip.json"
+    main(["fabricate", "--seed", "5", "--mzis", "20", "--out", str(chip_path)])
+    for name, which in (("first.json", ["--which", "0"]), ("default.json", [])):
+        code, _ = run_cli(capsys, "carve", "--chip", str(chip_path), "--preset", "small-pair",
+                          *which, "--out", str(tmp_path / name))
+        assert code == 0
+    assert json.loads((tmp_path / "first.json").read_text())["slots"] == list(range(10))
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
+
 def test_fabricate_rejects_a_zero_v2pi(tmp_path, capsys):
     chip_path = tmp_path / "chip.json"
     assert main(["fabricate", "--seed", "5", "--mzis", "4", "--v2pi", "0",

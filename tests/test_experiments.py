@@ -3,12 +3,14 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mzipuf.experiments import (
+    CONFIG_FORMAT,
     ExperimentConfig,
     ExperimentReport,
     _config_payload,
@@ -68,8 +70,16 @@ def test_config_validation():
 def test_config_dict_round_trip():
     config = quick_config(seed=7, bin_fraction=0.01, looseness_max=6,
                           headline_looseness=3, clone_devices=True)
-    rebuilt = config_from_dict(json.loads(json.dumps(_config_payload(config))))
-    assert rebuilt == config
+    stored = json.loads(json.dumps(_config_payload(config)))
+    assert stored["format"] == CONFIG_FORMAT
+    assert config_from_dict(stored) == config
+
+
+@pytest.mark.parametrize("tag", ["mzipuf-crpdb/1", None])
+def test_config_from_dict_refuses_another_format(tag):
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a stored experiment config: format={tag!r}")):
+        config_from_dict({"preset": "small-pair", "format": tag})
 
 
 def test_config_from_preset_alone_takes_dataclass_defaults():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzipuf import fabrication
+from mzipuf._codec import canonical_digest
 from mzipuf.fabrication import (
     COUPLER_SIGMA,
     GROUND_LOOP_SCALE,
@@ -373,6 +374,68 @@ def test_challenge_range_error_names_the_first_offender(bits, levels):
         with pytest.raises(ValueError) as raised:
             Challenge(levels=levels, bits=bits)
         assert str(raised.value) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, _MAX_BITS), v2pi=st.floats(1e-3, 1e16) | st.integers(1, 10**6),
+       columns=st.integers(0, 12), data=st.data())
+@example(bits=10, v2pi=V2PI_NOMINAL, columns=10, data=None)
+@example(bits=51, v2pi=1e16, columns=3, data=None)
+def test_level_digests_are_the_canonical_digest_of_each_row(bits, v2pi, columns, data):
+    # v2pi's repr switches to exponent form from 1e16, and an int v2pi is
+    # written without a point: both come from json, as in canonical_digest
+    if data is None:  # the 0-row and the 1-row matrix
+        matrices = [np.zeros((0, columns), dtype=np.int64),
+                    np.full((1, columns), 2**bits - 1, dtype=np.int64)]
+    else:
+        top_bits = st.lists(st.integers(0, 2**_MAX_BITS - 1), min_size=columns, max_size=columns)
+        rows = data.draw(st.lists(top_bits, max_size=5))
+        matrices = [np.array(rows, dtype=np.int64).reshape(len(rows), columns) >> (_MAX_BITS - bits)]
+    for levels in matrices:
+        digests = fabrication._level_digests(levels, bits, v2pi)
+        rows = levels.tolist()
+        assert digests == [canonical_digest({"levels": row, "bits": bits, "v2pi": v2pi})
+                           for row in rows]
+        for i, row in enumerate(rows):
+            assert Challenge(levels=row, bits=bits, v2pi_nominal=v2pi).digest() == digests[i]
+            assert fabrication._level_digests(levels[i:i + 1], bits, v2pi) == [digests[i]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(1, 12),
+       rows=st.lists(st.lists(st.integers(-5, 5000), min_size=3, max_size=3), max_size=5))
+@example(bits=51, rows=[[0, 2**51 - 1, 1], [3, 2**51, -1]])
+def test_level_digests_refuse_a_matrix_off_the_grid_as_challenge_does(bits, rows):
+    levels = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    errors = [reference_level_check(row, bits) for row in rows]
+    expected = next((error for error in errors if error is not None), None)
+    if expected is None:
+        assert len(fabrication._level_digests(levels, bits)) == len(rows)
+        return
+    with pytest.raises(ValueError) as raised:
+        fabrication._level_digests(levels, bits)
+    assert str(raised.value) == expected
+    with pytest.raises(ValueError) as raised:  # the first bad row, as a Challenge
+        Challenge(levels=rows[errors.index(expected)], bits=bits)
+    assert str(raised.value) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(bits=st.integers(1, _MAX_BITS), v2pi=st.floats(1e-3, 1e16),
+       mzi_count=st.sampled_from((1, 10, 66)) | st.integers(1, 80),
+       count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(bits=10, v2pi=V2PI_NOMINAL, mzi_count=10, count=2000, seed=99)
+def test_level_voltages_equal_the_drive_voltages_of_the_challenges(bits, v2pi, mzi_count,
+                                                                     count, seed):
+    # what run_pair_experiment drives measure_batch with, against the
+    # Challenges _random_challenges draws from the same generator state
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    volts = fabrication._level_voltages(
+        fabrication._random_levels(rng, count, mzi_count, bits), bits, v2pi
+    )
+    challenges = _random_challenges(replay, count, mzi_count, bits, v2pi)
+    assert np.array_equal(volts, fabrication._drive_voltages(challenges))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_challenge_from_voltages_round_trip():
