@@ -62,7 +62,6 @@ from .metrics import (
     DistanceStats,
     LoosenessSweep,
     QuantizedResponse,
-    aggregate_uniqueness,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,

@@ -357,8 +357,8 @@ class Challenge:
 
     @property
     def voltages(self) -> np.ndarray:
-        step = self.v2pi_nominal / float(2**self.bits)
-        return np.asarray(self.levels, dtype=float) * step
+        return _level_voltages(np.array(self.levels, dtype=np.int64), self.bits,
+                               self.v2pi_nominal)
 
     def digest(self) -> str:
         """canonical_digest({"levels": levels, "bits": bits, "v2pi": v2pi_nominal})."""
@@ -368,22 +368,9 @@ class Challenge:
     @classmethod
     def random(cls, rng: np.random.Generator, mzi_count: int, bits: int = 10,
                v2pi_nominal: float = V2PI_NOMINAL) -> "Challenge":
-        return _random_challenges(rng, 1, mzi_count, bits, v2pi_nominal)[0]
-
-    @classmethod
-    def from_voltages(cls, volts, bits: int = 10,
-                      v2pi_nominal: float = V2PI_NOMINAL) -> "Challenge":
-        cls((), bits, v2pi_nominal)  # an empty challenge checks the grid before the division
-        step = v2pi_nominal / float(2**bits)
-        levels = []
-        for v in np.asarray(volts, dtype=float):
-            q = v / step
-            level = int(round(q)) if math.isfinite(q) else None
-            # exactly what voltages gives level, or within 1e-9 of it in level units
-            if level is None or (float(level) * step != v and abs(q - level) > 1e-9):
-                raise ValueError(f"voltage {v} is not on the {bits}-bit challenge grid")
-            levels.append(level)
-        return cls(levels=tuple(levels), bits=bits, v2pi_nominal=v2pi_nominal)
+        """One row of _random_levels."""
+        (levels,) = _random_levels(rng, 1, mzi_count, bits).tolist()
+        return cls(levels=levels, bits=bits, v2pi_nominal=v2pi_nominal)
 
 
 def _random_levels(rng: np.random.Generator, count: int, mzi_count: int,
@@ -398,17 +385,10 @@ def _random_levels(rng: np.random.Generator, count: int, mzi_count: int,
     return rng.integers(0, 2**bits, size=(count, mzi_count))
 
 
-def _random_challenges(rng: np.random.Generator, count: int, mzi_count: int, bits: int = 10,
-                       v2pi_nominal: float = V2PI_NOMINAL) -> list[Challenge]:
-    """count random Challenges, one per row of _random_levels."""
-    levels = _random_levels(rng, count, mzi_count, bits).tolist()
-    return [Challenge(levels=row, bits=bits, v2pi_nominal=v2pi_nominal) for row in levels]
-
-
 def _level_voltages(levels: np.ndarray, bits: int = 10,
                     v2pi_nominal: float = V2PI_NOMINAL) -> np.ndarray:
-    """Drive voltages of each row of an integer level matrix, bit for bit
-    those _drive_voltages gives for the Challenges of its rows."""
+    """Drive voltages of each row of an integer level matrix; Challenge.voltages
+    is its one-row case."""
     return levels.astype(float) * (v2pi_nominal / float(2**bits))
 
 
@@ -439,9 +419,7 @@ def _drive_voltages(challenges) -> np.ndarray:
         return challenges.voltages
     if (not isinstance(challenges, np.ndarray) and len(challenges)
             and isinstance(challenges[0], Challenge)):
-        levels = np.array([c.levels for c in challenges], dtype=float)
-        steps = np.array([c.v2pi_nominal / float(2**c.bits) for c in challenges])
-        return levels * steps[:, None]
+        return np.array([c.voltages for c in challenges])
     volts = np.asarray(challenges, dtype=float)
     if not np.isfinite(volts).all():
         raise ValueError("drive voltages must be finite")

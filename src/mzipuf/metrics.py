@@ -197,14 +197,6 @@ def uniqueness(responses, looseness: int = 2) -> float:
     return 2.0 * total / (n * (n - 1)) / bins.shape[1] * 100.0
 
 
-def aggregate_uniqueness(responses_per_challenge, looseness: int = 2) -> float:
-    """Mean of per-challenge uniqueness over a collection of challenges."""
-    values = [uniqueness(group, looseness) for group in responses_per_challenge]
-    if not values:
-        raise ValueError("need at least one challenge group")
-    return float(np.mean(values))
-
-
 @dataclass(frozen=True)
 class DistanceStats:
     """Summary statistics plus a fixed-width histogram of a distance sample."""

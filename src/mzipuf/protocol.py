@@ -12,6 +12,7 @@ must pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -23,7 +24,8 @@ from .fabrication import (
     DeviceInstance,
     NoiseConfig,
     NoiseStream,
-    _random_challenges,
+    _level_voltages,
+    _random_levels,
     measure_batch,
 )
 from .metrics import (
@@ -88,6 +90,14 @@ class VerifyPolicy:
     l2_threshold: float = 0.0
     clamped: bool = False
     low_confidence: bool = False
+
+    def __post_init__(self):
+        # l2_threshold may be negative: calibration can clamp it to just below 0
+        _check_looseness(self.looseness)
+        if not self.lhd_threshold >= 0:
+            raise ValueError(f"lhd_threshold must be >= 0, got {self.lhd_threshold}")
+        if not math.isfinite(self.l2_threshold):
+            raise ValueError(f"l2_threshold must be finite, got {self.l2_threshold}")
 
 
 @dataclass(frozen=True)
@@ -264,20 +274,20 @@ def enroll(
     challenge_rng = np.random.default_rng((int(rng_seed), 10))
     stream = NoiseStream((int(rng_seed), 11), device.layout.mode_count, noise_config)
     db = CrpDatabase(device_digest=device.descriptor_digest(), bin_fraction=bin_fraction)
-    challenges = _random_challenges(challenge_rng, challenge_count, device.layout.mzi_count)
+    levels = _random_levels(challenge_rng, challenge_count, device.layout.mzi_count)
     indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
-    measured = measure_batch(device, challenges, stream, indices)
+    measured = measure_batch(device, _level_voltages(levels), stream, indices)
     reference_bins = _quantize_rows(np.mean(measured, axis=1), bin_fraction)
     repeat_bins = _quantize_rows(measured.reshape(-1, device.layout.mode_count), bin_fraction)
     # row cid of repeat_l2 holds the distances of challenge cid's repeats
     diff, _ = _pair_differences(reference_bins.repeat(repeats_per_challenge, axis=0), repeat_bins)
     repeat_l2 = _row_l2(diff).reshape(challenge_count, repeats_per_challenge)
     references = _responses(reference_bins, bin_fraction)
-    for cid, (challenge, reference) in enumerate(zip(challenges, references)):
+    for cid, (row, reference) in enumerate(zip(levels.tolist(), references)):
         db.add(
             CrpRecord(
                 challenge_id=cid,
-                challenge=challenge,
+                challenge=Challenge(levels=row),
                 reference=reference,
                 repeat_stats=distance_stats(repeat_l2[cid]),
             )

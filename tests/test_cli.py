@@ -250,6 +250,20 @@ def test_verify_flag_overrides_only_its_field_of_the_db_policy(enrolled, capsys,
     assert decision["l2"] == 2.0
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--l2-threshold", "nan", "l2_threshold"),
+    ("--lhd-threshold", "-1", "lhd_threshold"),
+    ("--looseness", "0", "looseness"),
+])
+def test_verify_refuses_a_threshold_off_its_range(enrolled, capsys, flag, value, field):
+    bins = ",".join(map(str, CrpDatabase.load(enrolled).record(0).reference.bins))
+    code = main(["verify", "--db", str(enrolled), "--challenge-id", "0", "--bins", bins,
+                 flag, value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be ")
+
+
 def test_verify_single_flag_keeps_strict_default_without_db_policy(enrolled, capsys):
     db = CrpDatabase.load(enrolled)
     assert db.policy is None

@@ -30,7 +30,9 @@ distance_stats = st.builds(
     DistanceStats, counts, floats, floats, floats, floats, floats,
     st.lists(st.tuples(floats, floats, counts), max_size=4).map(tuple),
 )
-verify_policies = st.builds(VerifyPolicy, counts, counts, floats, st.booleans(), st.booleans())
+verify_policies = st.builds(VerifyPolicy, st.integers(1, 2**40), counts,
+                            st.floats(allow_nan=False, allow_infinity=False),
+                            st.booleans(), st.booleans())
 noise_configs = st.builds(
     NoiseConfig, st.booleans(), *[st.floats(0.0, 1e3)] * 4, st.integers(1, 10**6)
 )

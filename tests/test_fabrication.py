@@ -25,7 +25,6 @@ from mzipuf.fabrication import (
     DeviceInstance,
     NoiseConfig,
     NoiseStream,
-    _random_challenges,
     carve_device,
     chain_adjacency,
     effective_voltages,
@@ -293,21 +292,16 @@ def test_challenge_rejects_a_non_physical_v2pi(value):
     with pytest.raises(ValueError, match=message):
         Challenge(levels=(1,) * 10, v2pi_nominal=value)
     with pytest.raises(ValueError, match=message):
-        _random_challenges(np.random.default_rng(0), 3, 10, v2pi_nominal=value)
-    # checked before from_voltages divides by the grid step
-    with pytest.raises(ValueError, match=message):
-        Challenge.from_voltages([1.75] * 10, v2pi_nominal=value)
+        Challenge.random(np.random.default_rng(0), 10, v2pi_nominal=value)
 
 
 @pytest.mark.parametrize("bits", [1100, 54, 52, 2.5, True])
 def test_challenge_refuses_bits_off_the_exact_float_grid(bits):
-    # from 52 bits from_voltages cannot always invert voltages, a level of 54
-    # or more bits is not an exact float64, and float(2**1100) overflows
+    # from 52 bits round(v / step) cannot always recover a level, a level of
+    # 54 or more bits is not an exact float64, and float(2**1100) overflows
     message = re.escape(f"bits must be an integer <= 51, got {bits!r}")
     with pytest.raises(ValueError, match=message):
         Challenge(levels=(1,), bits=bits)
-    with pytest.raises(ValueError, match=message):
-        Challenge.from_voltages([0.0], bits=bits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,7 +313,8 @@ def test_challenge_voltages_round_trip_on_every_grid(bits, v2pi, top_bits):
     # than any fixed tolerance in level units on the wider grids
     levels = [q >> (_MAX_BITS - bits) for q in top_bits]
     challenge = Challenge(levels=levels, bits=bits, v2pi_nominal=v2pi)
-    assert Challenge.from_voltages(challenge.voltages, bits, v2pi) == challenge
+    step = v2pi / float(2**bits)
+    assert [round(v / step) for v in challenge.voltages] == list(challenge.levels)
 
 
 def test_challenge_digest_and_random():
@@ -342,15 +337,13 @@ def test_challenge_digest_and_random():
 @settings(max_examples=80, deadline=None)
 @given(bits=st.integers(1, 32), mzi_count=st.sampled_from((1, 3, 7, 10, 66)) | st.integers(1, 80),
        count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_random_challenges_equal_one_draw_per_challenge(bits, mzi_count, count, seed):
+def test_random_levels_equal_one_draw_per_challenge(bits, mzi_count, count, seed):
     # one (count, MZIs) draw gives the levels, and leaves the generator in
-    # the state, of count draws of MZIs levels each
+    # the state, of count Challenge.random calls in a row
     rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-    challenges = _random_challenges(rng, count, mzi_count, bits, 5.0)
-    expected = [
-        tuple(replay.integers(0, 2**bits, size=mzi_count).tolist()) for _ in range(count)
-    ]
-    assert [c.levels for c in challenges] == expected
+    levels = fabrication._random_levels(rng, count, mzi_count, bits)
+    challenges = [Challenge.random(replay, mzi_count, bits, 5.0) for _ in range(count)]
+    assert [tuple(row) for row in levels.tolist()] == [c.levels for c in challenges]
     assert all(c.bits == bits and c.v2pi_nominal == 5.0 for c in challenges)
     assert rng.bit_generator.state == replay.bit_generator.state
 
@@ -427,31 +420,27 @@ def test_level_digests_refuse_a_matrix_off_the_grid_as_challenge_does(bits, rows
 @example(bits=10, v2pi=V2PI_NOMINAL, mzi_count=10, count=2000, seed=99)
 def test_level_voltages_equal_the_drive_voltages_of_the_challenges(bits, v2pi, mzi_count,
                                                                      count, seed):
-    # what run_pair_experiment drives measure_batch with, against the
-    # Challenges _random_challenges draws from the same generator state
+    # what enroll and run_pair_experiment drive measure_batch with, against
+    # the Challenges Challenge.random draws from the same generator state
     rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
     volts = fabrication._level_voltages(
         fabrication._random_levels(rng, count, mzi_count, bits), bits, v2pi
     )
-    challenges = _random_challenges(replay, count, mzi_count, bits, v2pi)
+    challenges = [Challenge.random(replay, mzi_count, bits, v2pi) for _ in range(count)]
     assert np.array_equal(volts, fabrication._drive_voltages(challenges))
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_challenge_from_voltages_round_trip():
-    ch = Challenge(levels=(0, 17, 512, 1023))
-    assert Challenge.from_voltages(ch.voltages) == ch
-    with pytest.raises(ValueError):
-        Challenge.from_voltages([0.003])
-    with pytest.raises(ValueError, match=re.escape("bits must be >= 1, got 0")):
-        Challenge.from_voltages([0.0], bits=0)
-
-
-@pytest.mark.parametrize("volt", [np.inf, -np.inf, np.nan])
-def test_challenge_from_voltages_rejects_non_finite_voltages(volt):
-    message = re.escape(f"voltage {volt} is not on the 10-bit challenge grid")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Challenge.from_voltages([0.0, volt])
+def test_drive_voltages_of_mixed_grid_challenges_stack_their_voltages():
+    rng = np.random.default_rng(17)
+    challenges = [Challenge.random(rng, 6, bits, v2pi)
+                  for bits, v2pi in ((10, V2PI_NOMINAL), (3, 5.5), (51, 1e16), (1, 0.25))]
+    volts = fabrication._drive_voltages(challenges)
+    assert volts.shape == (4, 6)
+    for row, c in zip(volts, challenges):
+        assert np.array_equal(row, c.voltages)
+        # a level q drives q * v2pi_nominal / 2**bits
+        assert row.tolist() == [q * (c.v2pi_nominal / 2.0**c.bits) for q in c.levels]
 
 
 def test_effective_voltages_symmetric_leakage():

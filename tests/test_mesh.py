@@ -124,9 +124,10 @@ def test_closed_form_matches_four_matrix_product(programming):
 
 BLAS_PROBE = """
 import hashlib, numpy as np
-from mzipuf.fabrication import LARGE_PAIR, _random_challenges, fabricate_chip, measure_batch
+from mzipuf.fabrication import LARGE_PAIR, Challenge, fabricate_chip, measure_batch
 device = LARGE_PAIR.carve_pair(fabricate_chip(1234, LARGE_PAIR.chip_spec()))[0]
-challenges = _random_challenges(np.random.default_rng(5), 64, device.layout.mzi_count)
+rng = np.random.default_rng(5)
+challenges = [Challenge.random(rng, device.layout.mzi_count) for _ in range(64)]
 print(hashlib.sha256(measure_batch(device, challenges, None, np.arange(64)).tobytes()).hexdigest())
 """
 

@@ -22,7 +22,6 @@ from mzipuf.metrics import (
     _responses,
     _row_l2,
     _stacked_bins,
-    aggregate_uniqueness,
     distance_stats,
     euclidean_distance,
     loose_hamming_distance,
@@ -199,14 +198,6 @@ def test_uniqueness_bounds():
         group = [qr(*rng.integers(0, 6, size=8)) for _ in range(int(rng.integers(2, 6)))]
         u = uniqueness(group, looseness=1)
         assert 0.0 <= u <= 100.0
-
-
-def test_aggregate_uniqueness():
-    g1 = [qr(0, 0), qr(2, 2)]   # 100 percent
-    g2 = [qr(0, 0), qr(0, 0)]   # 0 percent
-    assert aggregate_uniqueness([g1, g2], looseness=2) == pytest.approx(50.0)
-    with pytest.raises(ValueError):
-        aggregate_uniqueness([])
 
 
 def test_distance_stats_worked_example():

@@ -1,6 +1,7 @@
 """Unit tests for enrollment, issuance, and verification."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,18 @@ def test_enroll_quantizes_the_mean_of_each_challenges_repeats(repeats):
             euclidean_distance(record.reference, quantize(raw, db.bin_fraction)) for raw in raws
         ]
         assert record.repeat_stats == distance_stats(distances)
+
+
+def test_enroll_challenges_are_challenge_random_draws():
+    # enroll draws one level matrix; its rows are the challenges count
+    # Challenge.random calls give from the same generator
+    device = make_device()
+    db = enroll(device, challenge_count=7, repeats_per_challenge=2, rng_seed=13,
+                noise_config=NoiseConfig.disabled())
+    rng = np.random.default_rng((13, 10))
+    assert [db.record(cid).challenge for cid in range(7)] == [
+        Challenge.random(rng, device.layout.mzi_count) for _ in range(7)
+    ]
 
 
 def test_enroll_argument_validation():
@@ -365,6 +378,51 @@ def test_calibrate_flags_overlap_and_thin_samples():
         calibrate_policy(db, near, [], looseness=0)
     with pytest.raises(ValueError):
         calibrate_policy(db, [], overlapping_impostors)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"looseness": 0}, "looseness must be >= 1, got 0"),
+    ({"looseness": 2.0}, "looseness must be an integer >= 1, got 2.0"),
+    ({"lhd_threshold": -3}, "lhd_threshold must be >= 0, got -3"),
+    ({"lhd_threshold": float("nan")}, "lhd_threshold must be >= 0, got nan"),
+    ({"l2_threshold": float("nan")}, "l2_threshold must be finite, got nan"),
+    ({"l2_threshold": float("inf")}, "l2_threshold must be finite, got inf"),
+    ({"l2_threshold": -float("inf")}, "l2_threshold must be finite, got -inf"),
+])
+def test_verify_policy_refuses_fields_off_their_range(fields, message):
+    # l2 <= nan is false, so a NaN threshold would reject every response
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        VerifyPolicy(**fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(VerifyPolicy(), **fields)
+
+
+def test_calibrate_can_clamp_the_l2_threshold_below_zero():
+    # an impostor equal to the reference clamps the threshold to 0 - 1e-9
+    db = make_db([(0, 0, 0, 0)])
+    legitimate = [(0, QuantizedResponse(bins=(1, 0, 0, 0))),
+                  (0, QuantizedResponse(bins=(0, 1, 0, 0)))]
+    impostor = [(0, QuantizedResponse(bins=(0, 0, 0, 0))),
+                (0, QuantizedResponse(bins=(9, 0, 0, 0)))]
+    policy = calibrate_policy(db, legitimate, impostor)
+    assert policy.clamped and policy.l2_threshold == -1e-9
+    assert replace(policy) == policy
+
+
+@pytest.mark.parametrize("field, value", [
+    ("l2_threshold", float("nan")), ("lhd_threshold", -1), ("looseness", 0),
+])
+def test_database_with_a_stored_policy_off_its_range_fails_to_load(tmp_path, field, value):
+    db = make_db([(1, 2)])
+    db.policy = VerifyPolicy(looseness=2, lhd_threshold=1, l2_threshold=3.5)
+    path = tmp_path / "db.jsonl"
+    db.save(path)
+    header, row = path.read_text().splitlines()
+    header = json.loads(header)
+    header["policy"][field] = value
+    path.write_text(json.dumps(header) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"^_DbHeader.policy: {field} must be "):
+        CrpDatabase.load(path)
 
 
 def test_calibrated_policy_separates_noisy_populations():
