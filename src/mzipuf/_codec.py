@@ -3,10 +3,15 @@
 encode turns a dataclass into a dict, one level per nested dataclass;
 tuples stay tuples, which json writes as lists.  decode(cls, payload)
 rebuilds the dataclass, casting every field by its annotation (a float
-for an int field must be integral), and raises ValueError naming
-Class.field when a field is missing or has the wrong type.  Where a
-stored layout differs from the fields, the mapping lives at that
-format's one call site.
+for an int field must be integral, and a bool is refused), and raises
+ValueError naming Class.field when a field is missing or has the wrong
+type.  Where a stored layout differs from the fields, the mapping lives
+at that format's one call site.
+
+What an integer is, the package decides here; a bool never is one.  Stored
+values and integer sequences go through the decode cast or int_tuple,
+which cast an integral float; a scalar that a caller passes goes through
+integer() (integer_fields() on a frozen dataclass): an int or numpy integer.
 
 Every stored file, JSON, CSV or CRP database, is written by write_text;
 json_text renders a JSON one and read_json reads it back, checking its
@@ -20,12 +25,13 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-import operator
 import os
 import stat
 import types
 import typing
 from functools import cache, partial
+
+import numpy as np
 
 
 def write_text(path, text: str) -> None:
@@ -147,21 +153,47 @@ def _converters(kind) -> tuple:
 
 
 def _integer(value) -> int:
-    """int(value), but a float that is not integral raises ValueError
-    instead of being truncated: 10.0 gives 10, 20.9 and NaN raise."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), but a bool, or a float with a fractional part, raises
+    ValueError instead of being cast: 10.0 gives 10; True, 20.9 and NaN raise."""
+    if isinstance(value, (bool, np.bool_)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
+_INT = frozenset((int,))
+
+
 def int_tuple(values) -> tuple:
-    """tuple(map(_integer, values)), about twice as fast when the values are
-    ints already: operator.index passes those through without int()'s parsing."""
+    """tuple(map(_integer, values)), about ten times as fast when the values
+    are all ints already, which are kept as they are."""
     values = values if isinstance(values, (list, tuple)) else list(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:  # floats and strings go through _integer()
-        return tuple(map(_integer, values))
+    if _INT.issuperset(map(type, values)):  # type(True) is bool, so no bool passes
+        return tuple(values)
+    return tuple(map(_integer, values))
+
+
+def integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int, if it is an int or a numpy integer in [low, high].
+
+    A bool or a float, integral or not, raises ValueError naming name, and
+    so does a value below low or above high, where they are given.
+    """
+    # type(), not isinstance: bool is a subclass of int
+    if not (type(value) is int or isinstance(value, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
+def integer_fields(obj, **lows) -> None:
+    """Check each named field of a frozen dataclass by integer(value, name,
+    low), storing it back as an int."""
+    for name, low in lows.items():
+        object.__setattr__(obj, name, integer(getattr(obj, name), name, low))
 
 
 def _exact(kind, name=None):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._codec import integer
+
 #: (columns, mzi_count) rows of the standard pyramid family.
 PYRAMID_SIZES = tuple((c, c * (c + 1) // 2) for c in range(4, 12))
 
@@ -24,16 +26,14 @@ DEFAULT_BITS_PER_MZI = 10
 
 def catalan(n: int) -> int:
     """n-th Catalan number, the count of binary trees with n nodes."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = integer(n, "n", 0)
     return math.comb(2 * n, n) // (n + 1)
 
 
 def naive_challenge_bound(mzi_count: int, bits_per_mzi: int = DEFAULT_BITS_PER_MZI) -> int:
     """Raw challenge-space size: every MZI set independently to any level."""
-    if mzi_count < 0 or bits_per_mzi < 1:
-        raise ValueError("mzi_count must be >= 0 and bits_per_mzi >= 1")
-    return (2**bits_per_mzi) ** mzi_count
+    mzi_count = integer(mzi_count, "mzi_count", 0)
+    return (2 ** integer(bits_per_mzi, "bits_per_mzi", 1)) ** mzi_count
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,8 @@ class TreeCountTable:
     _counts: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def count(self, height: int, nodes: int) -> int:
-        if not 0 <= height <= self.max_height or not 0 <= nodes <= self.max_nodes:
-            raise ValueError(
-                f"(height={height}, nodes={nodes}) outside table bounds "
-                f"({self.max_height}, {self.max_nodes})"
-            )
-        return self._counts[height][nodes]
+        height = integer(height, "height", 0, self.max_height)
+        return self._counts[height][integer(nodes, "nodes", 0, self.max_nodes)]
 
 
 def tree_counts_by_height(max_height: int, max_nodes: int) -> TreeCountTable:
@@ -69,8 +65,8 @@ def tree_counts_by_height(max_height: int, max_nodes: int) -> TreeCountTable:
 
     where cum(k, m) = sum_{h' <= k} t(h', m).  Exact integers throughout.
     """
-    if max_height < 0 or max_nodes < 0:
-        raise ValueError("table bounds must be >= 0")
+    max_height = integer(max_height, "max_height", 0)
+    max_nodes = integer(max_nodes, "max_nodes", 0)
     width = max_nodes + 1
     counts = [[0] * width for _ in range(max_height + 1)]
     counts[0][0] = 1
@@ -111,10 +107,8 @@ def distinguishable_crp_count(
     multiplies by the 2**bits_per_mzi phase levels of the one free bulk
     parameter per skeleton.
     """
-    if columns < 0 or mzi_count < 0:
-        raise ValueError("columns and mzi_count must be >= 0")
-    if bits_per_mzi < 1:
-        raise ValueError("bits_per_mzi must be >= 1")
+    columns, mzi_count = integer(columns, "columns", 0), integer(mzi_count, "mzi_count", 0)
+    bits_per_mzi = integer(bits_per_mzi, "bits_per_mzi", 1)
     if table is None:
         table = tree_counts_by_height(columns, mzi_count)
     return table.count(columns, mzi_count) * (2**bits_per_mzi)
@@ -127,8 +121,7 @@ def chip_crp_total(
     bits_per_mzi: int = DEFAULT_BITS_PER_MZI,
 ) -> int:
     """Total CRP count of a chip hosting several same-shaped disjoint meshes."""
-    if subset_count < 1:
-        raise ValueError(f"subset_count must be >= 1, got {subset_count}")
+    subset_count = integer(subset_count, "subset_count", 1)
     return subset_count * distinguishable_crp_count(columns, mzi_count, bits_per_mzi)
 
 
@@ -138,8 +131,7 @@ def to_scientific(value: int, sig_figs: int = 3) -> str:
     Rounds half away from zero on the digit after the kept significand,
     using only integer arithmetic so arbitrarily large values stay exact.
     """
-    if sig_figs < 1:
-        raise ValueError(f"sig_figs must be >= 1, got {sig_figs}")
+    value, sig_figs = integer(value, "value"), integer(sig_figs, "sig_figs", 1)
     sign = "-" if value < 0 else ""
     digits = str(abs(value))
     exponent = len(digits) - 1

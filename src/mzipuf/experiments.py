@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._codec import check_format, decode, encode, json_text, write_text
+from ._codec import check_format, decode, encode, int_tuple, integer_fields, json_text, write_text
 from .fabrication import (
     NoiseConfig,
     NoiseStream,
@@ -37,7 +37,6 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     LoosenessSweep,
-    _check_looseness,
     _pair_differences,
     _quantize_rows,
     _responses,
@@ -78,15 +77,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         preset_by_name(self.preset)
-        if self.challenge_count < 1 or self.repeat_count < 2:
-            raise ValueError("need challenge_count >= 1 and repeat_count >= 2")
+        integer_fields(self, challenge_count=1, repeat_count=2, seed=None,
+                       headline_looseness=1, looseness_max=1)
+        object.__setattr__(self, "chip_seeds", int_tuple(self.chip_seeds))
         if len(self.chip_seeds) not in (1, 2):
             raise ValueError("chip_seeds takes one chip seed or (device A, adversary)")
         if self.clone_devices and len(self.chip_seeds) == 2:
             raise ValueError("clone_devices uses device A as device B, "
                              "so chip_seeds takes no adversary seed")
-        _check_looseness(self.headline_looseness)
-        _check_looseness(self.looseness_max)
         if self.looseness_max < self.headline_looseness:
             raise ValueError("looseness_max must cover headline_looseness")
         if not 0.0 < self.bin_fraction <= 1.0:
@@ -96,10 +94,6 @@ class ExperimentConfig:
 def _config_payload(config: ExperimentConfig) -> dict:
     """The stored config: a format tag and every field."""
     return {"format": CONFIG_FORMAT, **encode(config)}
-
-
-_INTEGER_FIELDS = ("chip_seeds", "challenge_count", "repeat_count", "seed",
-                   "looseness_max", "headline_looseness")
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -122,18 +116,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             if key not in fields:
                 raise ValueError(f"{name} has no field {key!r}")
     noise = {**defaults["noise"], **noise} if isinstance(noise, dict) else noise
-    payload = {**defaults, **payload, "noise": noise}
-    # the codec's int cast reads a JSON true or false as 1 or 0, as stored
-    # CRP ids need; a config's integers must be written as integers
-    where = [(f"ExperimentConfig.{name}", payload[name]) for name in _INTEGER_FIELDS]
-    if isinstance(noise, dict):
-        where.append(("ExperimentConfig.noise: NoiseConfig.samples_per_response",
-                      noise["samples_per_response"]))
-    for name, value in where:
-        for item in value if isinstance(value, (list, tuple)) else (value,):
-            if isinstance(item, bool):
-                raise ValueError(f"{name}: expected an integer, got {item}")
-    return decode(ExperimentConfig, payload)
+    return decode(ExperimentConfig, {**defaults, **payload, "noise": noise})
 
 
 def small_pair_config(**overrides) -> ExperimentConfig:

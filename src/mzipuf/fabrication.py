@@ -30,6 +30,8 @@ from ._codec import (
     decode,
     encode,
     int_tuple,
+    integer,
+    integer_fields,
     json_text,
     read_json,
     write_text,
@@ -103,8 +105,7 @@ class ChipLayoutSpec:
     ground_loop_scale: float = GROUND_LOOP_SCALE
 
     def __post_init__(self):
-        if self.mzi_count < 1:
-            raise ValueError(f"mzi_count must be >= 1, got {self.mzi_count}")
+        integer_fields(self, mzi_count=1)
         if not 0 < self.v2pi_nominal < math.inf:
             raise ValueError(f"v2pi_nominal must be finite and > 0, got {self.v2pi_nominal}")
         for name in ("heater_sigma", "coupler_sigma", "phase_offset_span", "ground_loop_scale"):
@@ -113,7 +114,7 @@ class ChipLayoutSpec:
         if self.adjacency is None:
             object.__setattr__(self, "adjacency", chain_adjacency(self.mzi_count))
         else:
-            pairs = tuple((int(a), int(b)) for a, b in self.adjacency)
+            pairs = tuple(map(int_tuple, self.adjacency))
             for a, b in pairs:
                 if a == b or not (0 <= a < self.mzi_count and 0 <= b < self.mzi_count):
                     raise ValueError(f"bad adjacency pair ({a}, {b})")
@@ -156,6 +157,7 @@ def fabricate_chip(seed: int, spec: ChipLayoutSpec) -> ChipFingerprint:
     ground-loop coefficients) so a seed plus a layout spec reproduces the
     fingerprint bit-exactly.
     """
+    seed = integer(seed, "seed")
     rng = np.random.default_rng(seed)
     n = spec.mzi_count
     factors = np.clip(rng.normal(1.0, spec.heater_sigma, n), 0.05, None)
@@ -177,7 +179,7 @@ def fabricate_chip(seed: int, spec: ChipLayoutSpec) -> ChipFingerprint:
         (a, b, float(c)) for (a, b), c in zip(spec.adjacency, loop_values)
     )
     return ChipFingerprint(
-        seed=int(seed), spec=spec, heaters=heaters, couplers=couplers, ground_loops=ground_loops
+        seed=seed, spec=spec, heaters=heaters, couplers=couplers, ground_loops=ground_loops
     )
 
 
@@ -344,10 +346,7 @@ class Challenge:
     def __post_init__(self):
         levels = int_tuple(self.levels)
         object.__setattr__(self, "levels", levels)
-        if type(self.bits) is not int or self.bits > _MAX_BITS:
-            raise ValueError(f"bits must be an integer <= {_MAX_BITS}, got {self.bits!r}")
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
+        object.__setattr__(self, "bits", integer(self.bits, "bits", 1, _MAX_BITS))
         if not 0 < self.v2pi_nominal < math.inf:
             raise ValueError(f"v2pi_nominal must be finite and > 0, got {self.v2pi_nominal}")
         top = 2**self.bits
@@ -489,11 +488,7 @@ class NoiseConfig:
     samples_per_response: int = 1000
 
     def __post_init__(self):
-        samples = self.samples_per_response
-        if type(samples) is not int:
-            raise ValueError(f"samples_per_response must be an integer, got {samples!r}")
-        if samples < 1:
-            raise ValueError("samples_per_response must be >= 1")
+        integer_fields(self, samples_per_response=1)
         for name in ("detector_sigma", "coupling_jitter_sigma",
                      "coupling_drift_step", "coupling_drift_bound"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -503,16 +498,10 @@ class NoiseConfig:
     def disabled(cls) -> "NoiseConfig":
         return cls(enabled=False)
 
-    @classmethod
-    def quiet(cls) -> "NoiseConfig":
-        """Noise enabled but with drift frozen; useful in calibration tests."""
-        return cls(coupling_drift_step=0.0)
-
 
 def _seed_key(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    """A seed, or a sequence of seeds, as a tuple of ints."""
+    return int_tuple(seed) if np.ndim(seed) else (integer(seed, "seed"),)
 
 
 def _reflect(values: np.ndarray, bound: float) -> np.ndarray:
@@ -536,10 +525,8 @@ class NoiseStream:
 
     def __init__(self, seed, mode_count: int, config: NoiseConfig | None = None):
         self.seed = _seed_key(seed)
-        self.mode_count = int(mode_count)
+        self.mode_count = integer(mode_count, "mode_count", 1)
         self.config = config if config is not None else NoiseConfig()
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be >= 1")
         self._drift_rng = np.random.default_rng((*self.seed, 1))
         # the walk's latest position, and 1 + position at every index so far
         self._walk_end = np.zeros(self.mode_count)
@@ -565,7 +552,8 @@ class NoiseStream:
         return np.array([self._drift[i] for i in indices])
 
     def measurement_rng(self, measurement_index: int) -> np.random.Generator:
-        return np.random.default_rng((*self.seed, 0, int(measurement_index)))
+        return np.random.default_rng(
+            (*self.seed, 0, integer(measurement_index, "measurement_index", 0)))
 
 
 @dataclass(eq=False)

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._codec import integer
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -174,8 +176,7 @@ class MeshLayout:
 
 def build_mesh(columns: int) -> MeshLayout:
     """Construct the layout of a pyramid mesh with the given column count."""
-    if columns < 1:
-        raise ValueError(f"columns must be >= 1, got {columns}")
+    columns = integer(columns, "columns", 1)
     return MeshLayout(columns=columns, mode_pairs=_pyramid_mode_pairs(columns))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._codec import int_tuple
+from ._codec import int_tuple, integer
 
 DEFAULT_BIN_FRACTION = 0.005
 
@@ -116,13 +116,6 @@ def _check_comparable(a: QuantizedResponse, b: QuantizedResponse) -> None:
         )
 
 
-def _check_looseness(looseness) -> None:
-    if not isinstance(looseness, (int, np.integer)) or isinstance(looseness, bool):
-        raise ValueError(f"looseness must be an integer >= 1, got {looseness!r}")
-    if looseness < 1:
-        raise ValueError(f"looseness must be >= 1, got {looseness}")
-
-
 def _stacked_bins(*sides) -> list[np.ndarray]:
     """One (n, modes) bin matrix per side of aligned response lists.
 
@@ -163,7 +156,7 @@ def loose_hamming_distance(a: QuantizedResponse, b: QuantizedResponse, looseness
     looseness L = 1 is the ordinary Hamming distance on bin vectors; larger
     L forgives small bin wobble from measurement noise.
     """
-    _check_looseness(looseness)
+    looseness = integer(looseness, "looseness", 1)
     _check_comparable(a, b)
     diff = np.abs(np.asarray(a.bins) - np.asarray(b.bins))
     return int(np.count_nonzero(diff >= looseness))
@@ -187,7 +180,7 @@ def uniqueness(responses, looseness: int = 2) -> float:
     n = len(responses)
     if n < 2:
         raise ValueError(f"uniqueness needs at least 2 responses, got {n}")
-    _check_looseness(looseness)
+    looseness = integer(looseness, "looseness", 1)
     (bins,) = _stacked_bins(responses)
     # response i against all later ones: O(n * modes) memory per step
     total = sum(
@@ -254,8 +247,7 @@ def looseness_sweep(repeated_pairs, random_pairs, looseness_max: int = 10) -> Lo
     device and random_pairs compares responses that should disagree.  All
     responses of one population must share one length and bin fraction.
     """
-    if looseness_max < 1:
-        raise ValueError(f"looseness_max must be >= 1, got {looseness_max}")
+    looseness_max = integer(looseness_max, "looseness_max", 1)
     populations = [list(repeated_pairs), list(random_pairs)]
     if not all(populations):
         raise ValueError("both pair populations must be non-empty")

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._codec import check_format, decode, encode, write_text
+from ._codec import check_format, decode, encode, integer, integer_fields, write_text
 from .fabrication import (
     Challenge,
     DeviceInstance,
@@ -32,7 +32,6 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     QuantizedResponse,
-    _check_looseness,
     _pair_differences,
     _quantize_rows,
     _responses,
@@ -68,6 +67,10 @@ class CrpRecord:
     repeat_stats: DistanceStats | None = None
     consumed: bool = False
 
+    def __post_init__(self):
+        # a bool id would be saved as "id": true, which load refuses
+        integer_fields(self, challenge_id=None)
+
     @cached_property
     def _line(self) -> str:
         """The record's database line; the record is frozen, so encoded once."""
@@ -93,9 +96,7 @@ class VerifyPolicy:
 
     def __post_init__(self):
         # l2_threshold may be negative: calibration can clamp it to just below 0
-        _check_looseness(self.looseness)
-        if not self.lhd_threshold >= 0:
-            raise ValueError(f"lhd_threshold must be >= 0, got {self.lhd_threshold}")
+        integer_fields(self, looseness=1, lhd_threshold=0)
         if not math.isfinite(self.l2_threshold):
             raise ValueError(f"l2_threshold must be finite, got {self.l2_threshold}")
 
@@ -148,7 +149,7 @@ class CrpDatabase:
 
     def record(self, challenge_id: int) -> CrpRecord:
         try:
-            return self.records[challenge_id]
+            return self.records[integer(challenge_id, "challenge_id")]
         except KeyError:
             raise ValueError(f"unknown challenge id {challenge_id}") from None
 
@@ -268,11 +269,12 @@ def enroll(
     Measurement indices advance sequentially across the whole enrollment
     run so drift evolves as it would on a bench.
     """
-    if challenge_count < 1 or repeats_per_challenge < 1:
-        raise ValueError("challenge_count and repeats_per_challenge must be >= 1")
+    challenge_count = integer(challenge_count, "challenge_count", 1)
+    repeats_per_challenge = integer(repeats_per_challenge, "repeats_per_challenge", 1)
+    rng_seed = integer(rng_seed, "rng_seed")
     noise_config = noise_config if noise_config is not None else NoiseConfig()
-    challenge_rng = np.random.default_rng((int(rng_seed), 10))
-    stream = NoiseStream((int(rng_seed), 11), device.layout.mode_count, noise_config)
+    challenge_rng = np.random.default_rng((rng_seed, 10))
+    stream = NoiseStream((rng_seed, 11), device.layout.mode_count, noise_config)
     db = CrpDatabase(device_digest=device.descriptor_digest(), bin_fraction=bin_fraction)
     levels = _random_levels(challenge_rng, challenge_count, device.layout.mzi_count)
     indices = np.arange(challenge_count * repeats_per_challenge).reshape(challenge_count, -1)
@@ -329,7 +331,7 @@ def verify(
     l2 = euclidean_distance(record.reference, response)
     accepted = lhd <= policy.lhd_threshold and l2 <= policy.l2_threshold
     return AuthDecision(
-        challenge_id=challenge_id, accepted=accepted, lhd=lhd, l2=l2, policy=policy
+        challenge_id=record.challenge_id, accepted=accepted, lhd=lhd, l2=l2, policy=policy
     )
 
 
@@ -350,7 +352,7 @@ def calibrate_policy(
     """
     if not legitimate:
         raise ValueError("need at least one legitimate sample")
-    _check_looseness(looseness)
+    looseness = integer(looseness, "looseness", 1)
 
     def differences(samples, levels=()):
         pairs = [(db.record(cid).reference, response) for cid, response in samples]

@@ -345,11 +345,11 @@ def test_experiment_config_file_with_a_bad_bin_fraction_fails_before_measuring(
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"headline_looseness": 0, "looseness_max": 0}, "looseness must be >= 1, got 0"),
+    ({"headline_looseness": 0, "looseness_max": 0}, "headline_looseness must be >= 1, got 0"),
     ({"challenge_count": 20.9}, "ExperimentConfig.challenge_count: expected an integer, got 20.9"),
     ({"noise": {"samples_per_response": 2.5}},
      "ExperimentConfig.noise: NoiseConfig.samples_per_response: expected an integer, got 2.5"),
-    # a JSON bool is not an integer, though the codec's cast reads it as one
+    # a JSON bool is not an integer: the codec's cast refuses it
     ({"challenge_count": True, "repeat_count": 2},
      "ExperimentConfig.challenge_count: expected an integer, got True"),
     ({"repeat_count": True}, "ExperimentConfig.repeat_count: expected an integer, got True"),

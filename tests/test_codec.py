@@ -9,18 +9,41 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mzipuf._codec import decode, encode, int_tuple
-from mzipuf.experiments import ExperimentConfig, _config_payload, config_from_dict
+from mzipuf.combinatorics import (
+    catalan,
+    chip_crp_total,
+    distinguishable_crp_count,
+    naive_challenge_bound,
+    to_scientific,
+    tree_counts_by_height,
+)
+from mzipuf.experiments import (
+    ExperimentConfig,
+    _config_payload,
+    config_from_dict,
+    small_pair_config,
+)
 from mzipuf.fabrication import (
+    Challenge,
     ChipFingerprint,
     ChipLayoutSpec,
     HeaterParams,
     NoiseConfig,
+    NoiseStream,
+    carve_device,
+    fabricate_chip,
     load_chip,
     save_chip,
 )
-from mzipuf.mesh import CouplerPair
-from mzipuf.metrics import DistanceStats
-from mzipuf.protocol import CrpRecord, VerifyPolicy
+from mzipuf.mesh import CouplerPair, build_mesh
+from mzipuf.metrics import (
+    DistanceStats,
+    QuantizedResponse,
+    loose_hamming_distance,
+    looseness_sweep,
+    uniqueness,
+)
+from mzipuf.protocol import CrpRecord, VerifyPolicy, calibrate_policy, enroll, verify
 
 floats = st.floats(allow_nan=False)
 counts = st.integers(0, 2**40)
@@ -125,7 +148,7 @@ def test_decode_casts_fields_by_annotation():
 
 
 @pytest.mark.parametrize("values", [
-    [3, -1, 2**70], (True, 0), np.arange(4), [np.int64(5), 6], [1.0, "7", -2.0], range(3),
+    [3, -1, 2**70], (np.uint8(7), 0), np.arange(4), [np.int64(5), 6], [1.0, "7", -2.0], range(3),
 ])
 def test_int_tuple_is_tuple_of_int(values):
     cast = int_tuple(iter(values) if isinstance(values, range) else values)
@@ -133,8 +156,8 @@ def test_int_tuple_is_tuple_of_int(values):
     assert all(type(item) is int for item in cast)
     with pytest.raises(TypeError):
         int_tuple([1, None])
-    # a float that is not integral is refused, not truncated
-    for bad in (1.9, -2.5, np.nan, np.inf):
+    # a float that is not integral is refused, not truncated, and a bool is no integer
+    for bad in (1.9, -2.5, np.nan, np.inf, True, False, np.True_):
         with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {bad!r}")):
             int_tuple([1, bad])
 
@@ -164,3 +187,84 @@ def test_int_tuple_is_tuple_of_int(values):
 def test_decode_names_the_bad_field(cls, payload, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         decode(cls, payload)
+
+
+DEVICE = carve_device(fabricate_chip(1, ChipLayoutSpec(mzi_count=10)), 4, tuple(range(10)))
+QUIET = NoiseConfig.disabled()
+DB = enroll(DEVICE, 2, 1, rng_seed=1, noise_config=QUIET)
+REFERENCE = DB.records[0].reference
+TABLE = tree_counts_by_height(4, 10)
+A, B = QuantizedResponse((1, 5, 0)), QuantizedResponse((2, 1, 0))
+
+# every scalar integer a caller passes: (its name, a call taking it, a value it accepts)
+SCALARS = [
+    ("n", lambda x: catalan(x), 3),
+    ("mzi_count", lambda x: naive_challenge_bound(x, 2), 3),
+    ("bits_per_mzi", lambda x: naive_challenge_bound(3, x), 2),
+    ("max_height", lambda x: tree_counts_by_height(x, 5).max_height, 3),
+    ("max_nodes", lambda x: tree_counts_by_height(3, x).max_nodes, 5),
+    ("height", lambda x: TABLE.count(x, 3), 2),
+    ("nodes", lambda x: TABLE.count(2, x), 3),
+    ("columns", lambda x: distinguishable_crp_count(x, 10), 4),
+    ("mzi_count", lambda x: distinguishable_crp_count(4, x), 10),
+    ("bits_per_mzi", lambda x: distinguishable_crp_count(4, 10, x), 3),
+    ("subset_count", lambda x: chip_crp_total(x, 4, 10), 2),
+    ("value", lambda x: to_scientific(x), 12345),
+    ("sig_figs", lambda x: to_scientific(12345, x), 2),
+    ("columns", lambda x: build_mesh(x).columns, 4),
+    ("mzi_count", lambda x: ChipLayoutSpec(mzi_count=x).mzi_count, 3),
+    ("seed", lambda x: fabricate_chip(x, ChipLayoutSpec(mzi_count=3)).seed, 7),
+    ("bits", lambda x: Challenge(levels=(1,), bits=x).bits, 3),
+    ("samples_per_response",
+     lambda x: NoiseConfig(samples_per_response=x).samples_per_response, 10),
+    ("seed", lambda x: NoiseStream(x, 4).seed[0], 5),
+    ("mode_count", lambda x: NoiseStream(1, x).mode_count, 4),
+    ("measurement_index", lambda x: NoiseStream(1, 4).measurement_rng(x).random(), 3),
+    ("looseness", lambda x: loose_hamming_distance(A, B, x), 2),
+    ("looseness", lambda x: uniqueness([A, B], x), 2),
+    ("looseness_max", lambda x: looseness_sweep([(A, B)], [(A, B)], x).looseness_values, 3),
+    ("challenge_id", lambda x: CrpRecord(x, Challenge(levels=(1,)), A).challenge_id, 4),
+    ("looseness", lambda x: VerifyPolicy(looseness=x).looseness, 2),
+    ("lhd_threshold", lambda x: VerifyPolicy(lhd_threshold=x).lhd_threshold, 1),
+    ("challenge_id", lambda x: DB.record(x).challenge_id, 1),
+    ("challenge_id", lambda x: verify(DB, x, REFERENCE).challenge_id, 0),
+    ("challenge_count", lambda x: len(enroll(DEVICE, x, 1, noise_config=QUIET)), 2),
+    ("repeats_per_challenge",
+     lambda x: enroll(DEVICE, 1, x, noise_config=QUIET).records[0].repeat_stats.count, 2),
+    ("rng_seed",
+     lambda x: enroll(DEVICE, 1, 1, rng_seed=x, noise_config=QUIET).records[0].challenge, 5),
+    ("looseness", lambda x: calibrate_policy(DB, [(0, REFERENCE)], [], x).looseness, 2),
+    ("challenge_count", lambda x: small_pair_config(challenge_count=x).challenge_count, 5),
+    ("repeat_count", lambda x: small_pair_config(repeat_count=x).repeat_count, 3),
+    ("seed", lambda x: small_pair_config(seed=x).seed, 5),
+    ("headline_looseness", lambda x: small_pair_config(headline_looseness=x).headline_looseness, 2),
+    ("looseness_max", lambda x: small_pair_config(looseness_max=x).looseness_max, 4),
+]
+
+
+@pytest.mark.parametrize("name, call, good", SCALARS,
+                         ids=[f"{i}-{name}" for i, (name, _, _) in enumerate(SCALARS)])
+def test_a_scalar_integer_is_an_int_or_a_numpy_integer(name, call, good):
+    # neither a bool nor a float counts, not even an integral one
+    for bad in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    expected = call(good)
+    accepted = call(np.int64(good))
+    assert accepted == expected and type(accepted) is type(expected)
+    if isinstance(expected, tuple):
+        assert all(type(item) is int for item in accepted)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: ExperimentConfig(chip_seeds=(True,)), True),
+    (lambda: Challenge(levels=(True,) * 10), True),
+    (lambda: QuantizedResponse(bins=(True, 2)), True),
+    (lambda: ChipLayoutSpec(3, adjacency=((0.5, 2),)), 0.5),
+    (lambda: NoiseStream((1.5, 2), 4), 1.5),
+    (lambda: NoiseStream((2, False), 4), False),
+], ids=["chip_seeds", "levels", "bins", "adjacency", "seed-fraction", "seed-bool"])
+def test_an_integer_sequence_refuses_a_bool_and_a_fraction(build, bad):
+    # an integral float is cast, as a stored 10.0 is read as 10
+    with pytest.raises(ValueError, match=f"^expected an integer, got {bad!r}$"):
+        build()

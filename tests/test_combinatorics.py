@@ -125,8 +125,9 @@ def test_distinguishable_count_smallest_pyramid():
 
 
 @pytest.mark.parametrize("args, message", [
-    ((-1, 10), "columns and mzi_count must be >= 0"),
-    ((4, 10, 0), "bits_per_mzi must be >= 1"),
+    ((-1, 10), "columns must be >= 0, got -1"),
+    ((4, 10, 0), "bits_per_mzi must be >= 1, got 0"),
+    ((4, -1), "mzi_count must be >= 0, got -1"),
 ])
 def test_distinguishable_count_rejects_bad_arguments(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

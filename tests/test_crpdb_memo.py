@@ -104,9 +104,6 @@ REPLACEMENTS = {
         record, repeat_stats=distance_stats([record.challenge_id, 2.5])),
     "subclass": lambda record: TaggedRecord(
         **{f.name: getattr(record, f.name) for f in dataclasses.fields(record)}),
-    # True == 1 and False == 0, but json writes them as true and false
-    "id as bool": lambda record: dataclasses.replace(
-        record, challenge_id=bool(record.challenge_id)) if record.challenge_id in (0, 1) else record,
 }
 
 # hand edits of a row; the first three keep its values in a non-canonical line
@@ -197,13 +194,19 @@ def test_save_encodes_every_record_that_no_longer_holds_its_loaded_values(tmp_pa
     path = tmp_path / "db.jsonl"
     BASE.save(path)
     db = CrpDatabase.load(path)
-    for cid, how in enumerate(("id as bool", "id as bool", "subclass", "equal copies",
-                               "new reference", "new stats")):
+    for cid, how in enumerate(("subclass", "equal copies", "new reference", "new stats")):
         db.records[cid] = REPLACEMENTS[how](db.records[cid])
     db.records[5] = dataclasses.replace(db.records[5], consumed=not db.records[5].consumed)
     db.save(path)
     assert path.read_bytes() == oracle_text(db).encode()
     assert CrpDatabase.load(path) == oracle_load(path)
+
+
+def test_a_record_refuses_a_bool_id():
+    # True == 1, but json would save it as "id": true, which load refuses
+    for cid in (0, 1):
+        with pytest.raises(ValueError, match=f"^challenge_id must be an integer, got {cid == 1}$"):
+            dataclasses.replace(BASE.records[cid], challenge_id=bool(cid))
 
 
 def test_mutating_one_loaded_db_leaves_a_second_load_alone(tmp_path):

@@ -259,6 +259,21 @@ def test_large_pair_artifacts_include_sweep(tmp_path):
     assert "looseness_sweep.csv" in manifest["files"]
 
 
+def test_numpy_integer_fields_run_and_emit_as_ints(tmp_path):
+    # json cannot write a numpy integer, so the config stores each field as an int
+    fields = dict(chip_seeds=(1234, 777), challenge_count=6, repeat_count=3, seed=5,
+                  looseness_max=4, headline_looseness=2)
+    as_numpy = {name: np.int64(value) for name, value in fields.items() if name != "chip_seeds"}
+    config = quick_config(**as_numpy, chip_seeds=np.array(fields["chip_seeds"]))
+    assert config == quick_config(**fields)
+    stored = [*config.chip_seeds, *(getattr(config, name) for name in as_numpy)]
+    assert all(type(value) is int for value in stored)
+    emit_artifacts(run_pair_experiment(config), tmp_path / "numpy")
+    emit_artifacts(run_pair_experiment(quick_config(**fields)), tmp_path / "int")
+    assert (tmp_path / "numpy" / "manifest.json").read_bytes() == \
+        (tmp_path / "int" / "manifest.json").read_bytes()
+
+
 def test_emit_artifacts_with_bare_report(tmp_path):
     # a report carrying no statistics still writes header-only tables
     report = ExperimentReport(config=quick_config())

@@ -299,8 +299,9 @@ def test_challenge_rejects_a_non_physical_v2pi(value):
 def test_challenge_refuses_bits_off_the_exact_float_grid(bits):
     # from 52 bits round(v / step) cannot always recover a level, a level of
     # 54 or more bits is not an exact float64, and float(2**1100) overflows
-    message = re.escape(f"bits must be an integer <= 51, got {bits!r}")
-    with pytest.raises(ValueError, match=message):
+    message = (f"bits must be <= 51, got {bits}" if type(bits) is int
+               else f"bits must be an integer, got {bits!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Challenge(levels=(1,), bits=bits)
 
 
@@ -524,7 +525,6 @@ def test_noise_config_validation():
         NoiseConfig(detector_sigma=-1.0)
     assert NoiseConfig.disabled().enabled is False
     assert NoiseConfig(detector_sigma=0.0, coupling_drift_bound=0.0).enabled
-    assert NoiseConfig.quiet().coupling_drift_step == 0.0
 
 
 @pytest.mark.parametrize("field", ["detector_sigma", "coupling_jitter_sigma",
@@ -596,7 +596,7 @@ def test_measure_batch_rejects_indices_of_the_wrong_shape(indices, noisy):
 
 
 def test_noise_stream_needs_a_mode():
-    with pytest.raises(ValueError, match="^mode_count must be >= 1$"):
+    with pytest.raises(ValueError, match="^mode_count must be >= 1, got 0$"):
         NoiseStream(1, mode_count=0)
 
 
@@ -686,7 +686,7 @@ def test_drift_walk_stays_bounded():
 
 
 def test_zero_drift_step_freezes_coupling():
-    stream = NoiseStream(5, mode_count=4, config=NoiseConfig.quiet())
+    stream = NoiseStream(5, mode_count=4, config=NoiseConfig(coupling_drift_step=0.0))
     assert np.array_equal(stream.drift_factors(100), np.ones(4))
 
 
