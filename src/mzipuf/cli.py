@@ -10,6 +10,7 @@ from dataclasses import replace as dataclasses_replace
 import numpy as np
 
 from . import combinatorics, experiments, fabrication, protocol
+from ._codec import integer
 from .metrics import DEFAULT_BIN_FRACTION, QuantizedResponse
 
 
@@ -92,7 +93,7 @@ def _cmd_enroll(args) -> int:
 
 def _cmd_issue(args) -> int:
     db = protocol.CrpDatabase.load(args.db)
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
+    rng = np.random.default_rng(integer(args.seed, "seed", 0)) if args.seed is not None else None
     record = protocol.issue_challenge(db, rng)
     db.save(args.db)
     print(json.dumps({

@@ -21,7 +21,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._codec import check_format, decode, encode, int_tuple, integer_fields, json_text, write_text
+from ._codec import (
+    check_format,
+    decode,
+    encode,
+    int_tuple,
+    integer,
+    integer_fields,
+    json_text,
+    write_text,
+)
 from .fabrication import (
     NoiseConfig,
     NoiseStream,
@@ -61,7 +70,7 @@ class ExperimentConfig:
     degenerate control case, makes device B device A and takes one chip
     seed.  preset must name a PAIR_PRESETS entry.  seed drives the
     challenge draw and both devices' noise streams through namespaced
-    substreams.
+    substreams.  Every seed is an int >= 0.
     """
 
     preset: str = "small-pair"
@@ -77,9 +86,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         preset_by_name(self.preset)
-        integer_fields(self, challenge_count=1, repeat_count=2, seed=None,
+        integer_fields(self, challenge_count=1, repeat_count=2, seed=0,
                        headline_looseness=1, looseness_max=1)
-        object.__setattr__(self, "chip_seeds", int_tuple(self.chip_seeds))
+        object.__setattr__(self, "chip_seeds", tuple(
+            integer(seed, "chip_seeds", 0) for seed in int_tuple(self.chip_seeds)))
         if len(self.chip_seeds) not in (1, 2):
             raise ValueError("chip_seeds takes one chip seed or (device A, adversary)")
         if self.clone_devices and len(self.chip_seeds) == 2:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._codec import (
     canonical_digest,
@@ -154,10 +155,10 @@ def fabricate_chip(seed: int, spec: ChipLayoutSpec) -> ChipFingerprint:
     """Sample one chip's fabrication lottery.
 
     Draw order is fixed (resistance factors, coupler ratios, phase offsets,
-    ground-loop coefficients) so a seed plus a layout spec reproduces the
-    fingerprint bit-exactly.
+    ground-loop coefficients) so a seed (an int >= 0) plus a layout spec
+    reproduces the fingerprint bit-exactly.
     """
-    seed = integer(seed, "seed")
+    seed = integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = spec.mzi_count
     factors = np.clip(rng.normal(1.0, spec.heater_sigma, n), 0.05, None)
@@ -500,17 +501,8 @@ class NoiseConfig:
 
 
 def _seed_key(seed) -> tuple[int, ...]:
-    """A seed, or a sequence of seeds, as a tuple of ints."""
-    return int_tuple(seed) if np.ndim(seed) else (integer(seed, "seed"),)
-
-
-def _reflect(values: np.ndarray, bound: float) -> np.ndarray:
-    if bound == 0.0:
-        return np.zeros_like(values)
-    period = 4.0 * bound
-    folded = np.mod(values + bound, period)
-    folded = np.where(folded > 2.0 * bound, period - folded, folded)
-    return folded - bound
+    """A seed, or a sequence of seeds, as a tuple of ints >= 0."""
+    return tuple(integer(s, "seed", 0) for s in (int_tuple(seed) if np.ndim(seed) else (seed,)))
 
 
 class NoiseStream:
@@ -529,8 +521,8 @@ class NoiseStream:
         self.config = config if config is not None else NoiseConfig()
         self._drift_rng = np.random.default_rng((*self.seed, 1))
         # the walk's latest position, and 1 + position at every index so far
-        self._walk_end = np.zeros(self.mode_count)
-        self._drift = [1.0 + self._walk_end]
+        self._walk_end = [0.0] * self.mode_count
+        self._drift = [1.0 + np.array(self._walk_end)]
 
     def drift_factors(self, measurement_index: int) -> np.ndarray:
         """Per-mode coupling drift multiplier at a measurement index."""
@@ -546,14 +538,144 @@ class NoiseStream:
         if missing > 0:
             # one call draws the same normals as one call per step
             steps = self._drift_rng.normal(0.0, cfg.coupling_drift_step, (missing, self.mode_count))
-            for step in steps:
-                self._walk_end = _reflect(self._walk_end + step, cfg.coupling_drift_bound)
-                self._drift.append(1.0 + self._walk_end)
+            bound = cfg.coupling_drift_bound
+            period, top = 4.0 * bound, 2.0 * bound
+            end = self._walk_end
+            # each row of steps becomes its position: reflect end + step at
+            # +-bound by folding it with period 4 * bound, in Python floats,
+            # whose % rounds as np.mod does; row by row, so that only one
+            # step's floats are alive at a time
+            for k in range(missing):
+                if bound:
+                    end = [(period - f if (f := (e + s + bound) % period) > top else f) - bound
+                           for e, s in zip(end, steps[k].tolist())]
+                steps[k] = end
+            self._walk_end = end
+            steps += 1.0
+            self._drift.extend(steps)
         return np.array([self._drift[i] for i in indices])
 
     def measurement_rng(self, measurement_index: int) -> np.random.Generator:
+        """The generator of an index's substream.  measure_batch builds the
+        same ones for a larger batch from _substream_words."""
         return np.random.default_rng(
             (*self.seed, 0, integer(measurement_index, "measurement_index", 0)))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, hashed with these multipliers and mixed with each other
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's split of an int >= 0 into 32-bit words, lowest first;
+    0 is one word."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@cache
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """The (xor, multiplier) pairs of count SeedSequence hashes in a row:
+    each hash xors its value with the running constant, multiplies the
+    constant by mult, then multiplies the value by the new constant."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return tuple(zip(map(np.uint32, constants), map(np.uint32, constants[1:])))
+
+
+def _hashed(values: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    values = values ^ xor
+    values *= mult
+    values ^= values >> _XSHIFT
+    return values
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    result ^= result >> _XSHIFT
+    return result
+
+
+def _seed_state(entropy: list) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for N rows at once.
+
+    entropy[j] holds word j of every row's entropy, as an (N,) uint32
+    array, or a (1,) one where all rows share it; the last one is (N,).
+    Arrays, never numpy scalars, so every product wraps modulo 2**32
+    without numpy's scalar overflow warning.
+    """
+    hashes = iter(_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(entropy), _POOL_SIZE)))
+    zero = np.zeros(1, np.uint32)
+    # the first pool-size words, zeros past the entropy's end
+    pool = [_hashed(word, *next(hashes))
+            for word in (entropy + [zero] * _POOL_SIZE)[:_POOL_SIZE]]
+    # every pool word into every other, so late words reach earlier ones
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], _hashed(pool[src], *next(hashes)))
+    # the words past the pool size, each into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mixed(pool[dst], _hashed(word, *next(hashes)))
+    # generate_state: 8 uint32 words from the pool in turn, read as 4 uint64
+    state = np.empty((len(entropy[-1]), 2 * _POOL_SIZE), np.uint32)
+    for j, constants in enumerate(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)):
+        state[:, j] = _hashed(pool[j % _POOL_SIZE], *constants)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _substream_words(seed: tuple[int, ...], indices) -> np.ndarray:
+    """The (N, 4) uint64 words PCG64 seeds measurement_rng(index) from, for
+    each of N indices >= 0: SeedSequence((*seed, 0, index)).generate_state(4,
+    np.uint64), computed for all N in one pass of uint32 numpy arithmetic.
+
+    An index past 2**32 - 1 splits into more words, and so does a seed,
+    so the entropy's length varies: rows are grouped by their index's
+    word count, and the seed's words are shared by every row.
+    """
+    index = np.asarray(indices)
+    if index.dtype.kind not in "iu":  # numpy may read ints past 2**63 as floats
+        index = np.array(indices, dtype=object)
+    if index.size and index.min() < 0:
+        raise ValueError(f"measurement indices must be >= 0, got {index.min()}")
+    key = [np.array([word], np.uint32)
+           for part in seed for word in _uint32_words(integer(part, "seed", 0))]
+    key.append(np.zeros(1, np.uint32))
+    # the index's words, lowest first, and how many of them each row has
+    columns = [(index & _MASK32).astype(np.uint32)]
+    widths = np.ones(len(index), dtype=int)
+    rest = index >> 32
+    while rest.any():
+        widths += rest != 0
+        columns.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+    words = np.empty((len(index), _POOL_SIZE), np.uint64)
+    for width in np.unique(widths).tolist():
+        rows = widths == width
+        words[rows] = _seed_state(key + [column[rows] for column in columns[:width]])
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 a row of _substream_words, so that
+    Generator(PCG64(_SeedWords(row))) is measurement_rng(index) without
+    SeedSequence's hashing.  PCG64 asks for 4 uint64 words, once."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass(eq=False)
@@ -583,11 +705,12 @@ def _one_draw_threshold(samples: int) -> float:
     return high
 
 
-def _noisy_block(noise: NoiseStream, indices, drift: np.ndarray, out: np.ndarray) -> None:
+def _noisy_block(cfg: NoiseConfig, rngs, drift: np.ndarray, out: np.ndarray) -> None:
     """Means of S = samples_per_response noisy snapshots of k ideal vectors,
     in place: row j of the C-contiguous (k, modes) out holds an ideal vector
-    on entry and its measurement at the j-th of a list of k indices on
-    return; row j of drift holds that index's drift factors.
+    on entry and its measurement on return, drawn from the j-th of a list
+    of k generators, its index's substream; row j of drift holds that
+    index's drift factors.
 
     Before clipping, a snapshot drift * (1 + jitter) * ideal + detector is
     normal with mean mu = drift * ideal and variance sigma**2 =
@@ -604,7 +727,6 @@ def _noisy_block(noise: NoiseStream, indices, drift: np.ndarray, out: np.ndarray
     block; each snapshot row is C-contiguous, so its mean sums as a lone
     row's does, and a row's result does not depend on the block it is in.
     """
-    cfg = noise.config
     samples = cfg.samples_per_response
     # out is read only here, before its first draw overwrites it
     mean = drift * out
@@ -615,8 +737,7 @@ def _noisy_block(noise: NoiseStream, indices, drift: np.ndarray, out: np.ndarray
     # one row of snapshots per near-dark mode: a row mean reduces contiguous memory
     snapshots = np.empty((total, samples))
     first = 0
-    for row, (index, count) in enumerate(zip(indices, counts)):
-        rng = noise.measurement_rng(index)
+    for row, (rng, count) in enumerate(zip(rngs, counts)):
         rng.standard_normal(out=out[row])
         if count:
             rng.standard_normal(out=snapshots[first:first + count])
@@ -692,19 +813,33 @@ def _noise_workers() -> int:
 def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> None:
     """measure_batch's noise pass: _noisy_block over the (k, modes) flat,
     _NOISE_CHUNK rows at a time, on the caller and up to _noise_workers() - 1
-    threads.  The caller reads the drift walk for every row first, so the
-    workers share nothing but their disjoint rows of flat.  Each worker
-    claims the next chunk when it has sampled its last, so a thread that
-    starts late or loses its CPU leaves its share to the others instead of
-    holding up the batch.  Chunks are claimed in row order and a claimed
-    chunk is always sampled, so the exception that reaches the caller, once
-    every thread has ended, is the first failing chunk's, as on one worker."""
+    threads.  The caller reads the drift walk for every row first, and
+    derives every row's substream seed words in one pass, so the workers
+    share nothing but their disjoint rows of flat.  Each worker claims the
+    next chunk when it has sampled its last, so a thread that starts late
+    or loses its CPU leaves its share to the others instead of holding up
+    the batch.  Chunks are claimed in row order and a claimed chunk is
+    always sampled, so the exception that reaches the caller, once every
+    thread has ended, is the first failing chunk's, as on one worker."""
     import threading
 
     starts = range(0, len(flat), _NOISE_CHUNK)
-    # a lone chunk, as every measure call has, skips the CPU count's syscall
-    workers = min(_noise_workers(), len(starts)) if len(starts) > 1 else 1
     drift = noise._drift_rows(flat_indices)
+    if len(starts) > 1:
+        workers = min(_noise_workers(), len(starts))
+        words = _substream_words(noise.seed, flat_indices)
+
+        def substreams(rows):
+            return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words[rows]]
+    else:
+        # a lone chunk, as every measure call has: the words' numpy pass
+        # costs more than its few default_rng calls, and one worker skips
+        # the CPU count's syscall
+        workers = 1
+
+        def substreams(rows):
+            return [noise.measurement_rng(index) for index in flat_indices[rows]]
+
     claims = iter(starts)
     lock = threading.Lock()
     errors = {}  # first row of a failed chunk: its exception
@@ -717,7 +852,7 @@ def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> N
                 return
             rows = slice(row, row + _NOISE_CHUNK)
             try:
-                _noisy_block(noise, flat_indices[rows], drift[rows], flat[rows])
+                _noisy_block(noise.config, substreams(rows), drift[rows], flat[rows])
             except BaseException as exc:  # re-raised on the caller
                 with lock:
                     errors[row] = exc

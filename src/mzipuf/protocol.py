@@ -271,7 +271,7 @@ def enroll(
     """
     challenge_count = integer(challenge_count, "challenge_count", 1)
     repeats_per_challenge = integer(repeats_per_challenge, "repeats_per_challenge", 1)
-    rng_seed = integer(rng_seed, "rng_seed")
+    rng_seed = integer(rng_seed, "rng_seed", 0)
     noise_config = noise_config if noise_config is not None else NoiseConfig()
     challenge_rng = np.random.default_rng((rng_seed, 10))
     stream = NoiseStream((rng_seed, 11), device.layout.mode_count, noise_config)

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzipuf import fabrication
@@ -111,10 +111,21 @@ def per_index_noisy_mean(ideal, noise, index):
     return out
 
 
+def seed_words(seed, index):
+    """The words numpy seeds the PCG64 of measurement_rng(index) from."""
+    return np.random.SeedSequence((*seed, 0, index)).generate_state(4, np.uint64)
+
+
+def substream_state(rng):
+    """A generator's PCG64 state and increment, which name its substream
+    until it draws."""
+    return tuple(rng.bit_generator.state["state"].values())
+
+
 def noisy_mean(ideal, noise, index):
     """One measurement of an ideal vector: the block sampler on one row."""
     out = np.array([ideal], dtype=float)
-    _noisy_block(noise, [index], noise._drift_rows([index]), out)
+    _noisy_block(noise.config, [noise.measurement_rng(index)], noise._drift_rows([index]), out)
     return out[0]
 
 
@@ -374,16 +385,19 @@ def test_noise_threads_only_read_the_drift_walk(monkeypatch):
     ((1, 4 * _NOISE_CHUNK - 1), 1),  # the first chunk fails too, and wins
 ])
 def test_noise_pass_error_reaches_the_caller(monkeypatch, failing, raised):
+    # seeding a failing index's substream raises, on whichever worker claims it
     device = PRESET_DEVICES[1]
     n = 4 * _NOISE_CHUNK
-    measurement_rng = NoiseStream.measurement_rng
+    doomed = {seed_words((3,), index).tobytes(): index for index in failing}
 
-    def failing_rng(self, index):
-        if index in failing:
-            raise RuntimeError(f"no substream for {index}")
-        return measurement_rng(self, index)
+    class FailingWords(fabrication._SeedWords):
+        def generate_state(self, n_words, dtype=np.uint32):
+            index = doomed.get(self.words.tobytes())
+            if index is not None:
+                raise RuntimeError(f"no substream for {index}")
+            return super().generate_state(n_words, dtype)
 
-    monkeypatch.setattr(NoiseStream, "measurement_rng", failing_rng)
+    monkeypatch.setattr(fabrication, "_SeedWords", FailingWords)
     stream = NoiseStream(3, device.layout.mode_count)
     threads = threading.active_count()
     with noise_workers(2), pytest.raises(RuntimeError, match=f"no substream for {raised}$"):
@@ -421,15 +435,19 @@ def test_a_late_noise_thread_leaves_its_chunks_to_the_caller(monkeypatch):
             joined.append(self)
             self.run()
 
+    device = PRESET_DEVICES[1]
+    n = 4 * _NOISE_CHUNK
+    # each chunk is known by its first row's substream, before any draw
+    stream = NoiseStream(8, device.layout.mode_count)
+    first_rows = {substream_state(stream.measurement_rng(row)): row
+                  for row in range(0, n, _NOISE_CHUNK)}
     sampled = []
     noisy_block = fabrication._noisy_block
 
-    def recording(noise, indices, drift, out):
-        sampled.append((indices[0], bool(joined)))
-        noisy_block(noise, indices, drift, out)
+    def recording(cfg, rngs, drift, out):
+        sampled.append((first_rows.get(substream_state(rngs[0])), bool(joined)))
+        noisy_block(cfg, rngs, drift, out)
 
-    device = PRESET_DEVICES[1]
-    n = 4 * _NOISE_CHUNK
     challenges = random_challenges(8, device.layout.mzi_count, n)
     with noise_workers(1):
         expected = measure_batch(device, challenges, NoiseStream(8, device.layout.mode_count),
@@ -442,6 +460,84 @@ def test_a_late_noise_thread_leaves_its_chunks_to_the_caller(monkeypatch):
     assert np.array_equal(batch, expected)
     assert len(joined) == 1
     assert sampled == [(row, False) for row in range(0, n, _NOISE_CHUNK)]
+
+
+# indices of one to three 32-bit words, where numpy's split of an int changes
+WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**80), min_size=1, max_size=3),
+       indices=st.lists(st.sampled_from(WORD_EDGES) | st.integers(0, 2**70), min_size=1,
+                        max_size=20))
+@example(seed=[0], indices=list(WORD_EDGES))
+@example(seed=[2**32, 1, 2**64 + 3], indices=list(WORD_EDGES))
+def test_substream_words_equal_numpys_seed_sequence(seed, indices):
+    # the entropy runs from 3 to 13 words: shorter than the pool, padded
+    # with zeros, and longer, mixed in after it; one batch may mix lengths
+    expected = [seed_words(seed, index) for index in indices]
+    assert np.array_equal(fabrication._substream_words(tuple(seed), indices), expected)
+    # an integer array is split by numpy's integer arithmetic, a list with
+    # ints past 2**63 by Python's
+    in_range = [index for index in indices if index < 2**64]
+    if in_range:
+        assert np.array_equal(
+            fabrication._substream_words(tuple(seed), np.array(in_range, dtype=np.uint64)),
+            [seed_words(seed, index) for index in in_range])
+
+
+@pytest.mark.parametrize("seed, index", [((-1,), 0), ((3, -2), 0), ((3,), -1)])
+def test_substream_words_refuse_negative_ints(seed, index):
+    with pytest.raises(ValueError, match="must be >= 0, got -"):
+        fabrication._substream_words(seed, [5, index])
+
+
+@pytest.mark.parametrize("seed", [7, (2**32 + 5, 1), (2**64 + 1, 3, 2)])
+def test_multi_chunk_batch_seeds_each_row_as_measure_does(monkeypatch, seed):
+    # one- and multi-word seeds: entropy of 3, 5 and 7 words; every row's
+    # substream comes from the one words pass, none from measurement_rng
+    device = PRESET_DEVICES[0]
+    n = 3 * _NOISE_CHUNK + 1
+    challenges = random_challenges(5, device.layout.mzi_count, n)
+    indices = np.arange(n)[::-1] * 3
+    config = NoiseConfig(samples_per_response=40)
+    expected = [measure(device, ch, NoiseStream(seed, device.layout.mode_count, config),
+                        int(index)).intensities for ch, index in zip(challenges, indices)]
+    words_calls = []
+    substream_words = fabrication._substream_words
+
+    def recording(*args):
+        words_calls.append(args)
+        return substream_words(*args)
+
+    def forbidden(self, index):
+        raise AssertionError("a batch row seeded through measurement_rng")
+
+    monkeypatch.setattr(fabrication, "_substream_words", recording)
+    monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
+    for workers in WORKER_COUNTS:
+        stream = NoiseStream(seed, device.layout.mode_count, config)
+        with noise_workers(workers):
+            batch = measure_batch(device, challenges, stream, indices)
+        assert np.array_equal(batch, expected)
+    assert len(words_calls) == len(WORKER_COUNTS)
+
+
+def test_a_lone_noise_chunk_seeds_through_measurement_rng(monkeypatch):
+    # every measure call: a few default_rng calls cost less than the words pass
+    def forbidden(*args):
+        raise AssertionError("a lone chunk took the words pass")
+
+    device = PRESET_DEVICES[1]
+    challenges = random_challenges(4, device.layout.mzi_count, _NOISE_CHUNK)
+    stream = NoiseStream(4, device.layout.mode_count)
+    with noise_workers(1):
+        expected = measure_batch(device, challenges + challenges[:1], stream,
+                                 np.arange(_NOISE_CHUNK + 1))
+    monkeypatch.setattr(fabrication, "_substream_words", forbidden)
+    batch = measure_batch(device, challenges, stream, np.arange(_NOISE_CHUNK))
+    assert np.array_equal(batch, expected[:-1])
+    assert np.array_equal(measure(device, challenges[0], stream, 0).intensities, expected[0])
 
 
 # every worker count the noise pass can choose

@@ -193,6 +193,13 @@ def test_issue_consumes_and_persists(enrolled, capsys):
     assert second["challenge_id"] not in db.unconsumed_ids()
 
 
+def test_issue_refuses_a_negative_seed(enrolled, capsys):
+    before = enrolled.read_bytes()
+    assert main(["issue", "--db", str(enrolled), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert enrolled.read_bytes() == before
+
+
 def test_verify_accepts_reference_and_rejects_garbage(enrolled, capsys):
     db = CrpDatabase.load(enrolled)
     reference = db.record(4).reference

@@ -256,6 +256,33 @@ def test_a_scalar_integer_is_an_int_or_a_numpy_integer(name, call, good):
         assert all(type(item) is int for item in accepted)
 
 
+# every seed a caller passes: (its name, a call taking it); numpy would
+# refuse a negative one only once it is drawn from, naming no field
+SEEDS = [
+    ("seed", lambda x: fabricate_chip(x, ChipLayoutSpec(mzi_count=3))),
+    ("seed", lambda x: NoiseStream(x, 4)),
+    ("seed", lambda x: NoiseStream((3, x), 4)),
+    ("rng_seed", lambda x: enroll(DEVICE, 1, 1, rng_seed=x, noise_config=QUIET)),
+    ("seed", lambda x: small_pair_config(seed=x)),
+    ("chip_seeds", lambda x: ExperimentConfig(chip_seeds=(x,))),
+    ("chip_seeds", lambda x: ExperimentConfig(chip_seeds=(5, x))),
+]
+
+
+@pytest.mark.parametrize("name, call", SEEDS,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(SEEDS)])
+def test_a_negative_seed_is_refused_with_its_name(name, call):
+    for bad in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {bad}$"):
+            call(bad)
+    call(0)
+
+
+def test_a_stored_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        config_from_dict({"preset": "small-pair", "seed": -1})
+
+
 @pytest.mark.parametrize("build, bad", [
     (lambda: ExperimentConfig(chip_seeds=(True,)), True),
     (lambda: Challenge(levels=(True,) * 10), True),

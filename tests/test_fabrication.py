@@ -611,6 +611,7 @@ def test_negative_indices_are_rejected_before_any_work(noisy, monkeypatch):
 
     monkeypatch.setattr(fabrication, "propagate", forbidden)
     monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
+    monkeypatch.setattr(fabrication, "_substream_words", forbidden)
     with pytest.raises(ValueError, match="measurement indices must be >= 0, got -5"):
         measure(device, challenges[0], stream, -5)
     with pytest.raises(ValueError, match="got -2"):
@@ -640,6 +641,7 @@ def test_non_finite_drive_voltages_are_rejected(volt, noisy, monkeypatch):
         raise AssertionError("noise drawn before the voltage check")
 
     monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
+    monkeypatch.setattr(fabrication, "_substream_words", forbidden)
     with pytest.raises(ValueError, match=message):
         measure_batch(device, voltages, stream, np.arange(len(voltages)))
 
@@ -675,6 +677,42 @@ def test_drift_walk_out_of_order_queries_agree():
     assert np.array_equal(s2.drift_factors(40), late_first)
     with pytest.raises(ValueError):
         s1.drift_factors(-1)
+
+
+def reference_drift(seed, modes, config, count):
+    """The drift walk step by step in numpy, as it was first written: each
+    step is one normal per mode, and each position is reflected at +-bound
+    by np.mod and np.where."""
+    rng = np.random.default_rng((*seed, 1))
+    bound = config.coupling_drift_bound
+    period = 4.0 * bound
+    end = np.zeros(modes)
+    rows = [1.0 + end]
+    for _ in range(count - 1):
+        values = end + rng.normal(0.0, config.coupling_drift_step, modes)
+        if bound == 0.0:
+            end = np.zeros_like(values)
+        else:
+            folded = np.mod(values + bound, period)
+            end = np.where(folded > 2.0 * bound, period - folded, folded) - bound
+        rows.append(1.0 + end)
+    return np.array(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(step=st.sampled_from((0.0, 0.005)) | st.floats(0.0, 0.5),
+       bound=st.sampled_from((0.0, 0.05)) | st.floats(0.0, 2.0),
+       queries=st.lists(st.integers(0, 120), min_size=1, max_size=5))
+@example(step=0.3, bound=1e-3, queries=[120])
+def test_drift_walk_equals_the_numpy_fold(step, bound, queries):
+    # the walk folds in Python floats, whose % rounds as np.mod does;
+    # extended in any order, to one index or many at once
+    config = NoiseConfig(coupling_drift_step=step, coupling_drift_bound=bound)
+    stream = NoiseStream((4, 2), 5, config)
+    expected = reference_drift((4, 2), 5, config, 121)
+    for index in queries:
+        assert np.array_equal(stream.drift_factors(index), expected[index])
+    assert np.array_equal(stream._drift_rows(list(range(121))), expected)
 
 
 def test_drift_walk_stays_bounded():

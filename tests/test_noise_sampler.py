@@ -49,7 +49,7 @@ def reference_noisy_mean(ideal, noise, index):
 def noisy_mean(ideal, noise, index):
     """One measurement of an ideal vector: the block sampler on one row."""
     out = np.array([ideal], dtype=float)
-    _noisy_block(noise, [index], noise._drift_rows([index]), out)
+    _noisy_block(noise.config, [noise.measurement_rng(index)], noise._drift_rows([index]), out)
     return out[0]
 
 
