@@ -165,23 +165,36 @@ class CrpDatabase:
         encodes its line once, on the first save that writes it; issuing a
         challenge replaces its record with a new one, encoded anew.
         _codec.write_text writes the file, so a crash leaves the old one whole.
+        The text written and its lines are kept for the next load.
         """
+        global _kept
         header = _DbHeader(self.device_digest, self.bin_fraction, len(self.records),
                            self.collision_pairs, self.policy)
         lines = [_to_json({"format": DB_FORMAT, **encode(header)})]
         lines += [self.records[cid]._line for cid in sorted(self.records)]
-        write_text(path, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        write_text(path, text)
+        # json escapes every character splitlines splits at, so these are its lines
+        _kept = text, lines, None
 
     @classmethod
     def load(cls, path) -> "CrpDatabase":
+        global _kept
         with open(path) as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
+            text = handle.read()
+        kept_text, lines, decoded = _kept
+        if text != kept_text:
+            lines, decoded = [line for line in text.splitlines() if line.strip()], None
         if not lines:
             raise ValueError("empty database file")
-        # one line parsed at a time: the parsed rows are garbage right after
-        header = decode(_DbHeader, check_format(_json_object(lines[0]), DB_FORMAT, "CRP database"))
-        db = cls(header.device_digest, header.bin_fraction,
-                 _memo_records(lines[1:], header.bin_fraction), header.policy,
+        if decoded is None:
+            # one line parsed at a time: the parsed rows are garbage right after
+            header = decode(_DbHeader, check_format(_json_object(lines[0]), DB_FORMAT,
+                                                    "CRP database"))
+            decoded = header, _memo_records(lines[1:], header.bin_fraction)
+            _kept = text, lines, decoded
+        header, records = decoded
+        db = cls(header.device_digest, header.bin_fraction, records, header.policy,
                  header.collision_pairs)
         if len(db) != header.record_count:
             raise ValueError(
@@ -227,18 +240,25 @@ class _DbHeader:
     policy: VerifyPolicy | None
 
 
-# the rows of the last database file load read: (line, bin fraction), every
-# input of a row's decode, to the frozen record decoded from it, which load
-# hands out as it is; holding one file's rows bounds the memo
-_memo: dict[tuple[str, float], CrpRecord] = {}
+# the rows of the last database file load decoded: the bin fraction, held
+# once, and each row line to the frozen record decoded from it, which load
+# hands out as it is; one file's rows bound the memo, and one tuple replaces
+# the fraction and the rows together
+_memo: tuple[float | None, dict[str, CrpRecord]] = (None, {})
+
+# the text of the database file this process last loaded or saved, its
+# non-blank lines and, once a load has decoded them, its header and records
+_kept: tuple[str, list[str], tuple[_DbHeader, list[CrpRecord]] | None] = ("", [], None)
 
 
 def _memo_records(lines, bin_fraction: float) -> list[CrpRecord]:
     """The records of a file's row lines, decoding only lines the memo lacks."""
     global _memo
-    _memo = {(line, bin_fraction): _memo.get((line, bin_fraction))
-             or _decode_row(line, bin_fraction) for line in lines}
-    return [_memo[line, bin_fraction] for line in lines]
+    fraction, held = _memo
+    held = held if fraction == bin_fraction else {}
+    rows = {line: held.get(line) or _decode_row(line, bin_fraction) for line in lines}
+    _memo = bin_fraction, rows
+    return [rows[line] for line in lines]
 
 
 def audit_collisions(db: CrpDatabase) -> CollisionReport:

@@ -274,8 +274,66 @@ def test_memo_holds_only_the_last_loaded_files_rows(tmp_path):
     CrpDatabase.load(a)
     CrpDatabase.load(b)
     rows = b.read_text().splitlines()[1:]
-    assert sorted(protocol._memo) == sorted((line, BASE.bin_fraction) for line in rows)
-    assert sorted(r.challenge_id for r in protocol._memo.values()) == [0, 1, 2, 3]
+    fraction, memo = protocol._memo
+    assert (fraction, sorted(memo)) == (BASE.bin_fraction, sorted(rows))
+    assert sorted(r.challenge_id for r in memo.values()) == [0, 1, 2, 3]
+
+
+def rewrite_in_the_same_mtime(path, db) -> None:
+    """Write oracle_text(db) at path and give it back the mtime it had."""
+    mtime = os.stat(path).st_mtime_ns
+    path.write_text(oracle_text(db))
+    os.utime(path, ns=(mtime, mtime))
+
+
+def test_a_change_by_another_writer_is_always_seen(tmp_path):
+    path = tmp_path / "db.jsonl"
+    BASE.save(path)
+    db = CrpDatabase.load(path)
+    # a concurrent `mzipuf issue` that consumes one more record
+    theirs = dataclasses.replace(db, records=db.records.values())
+    theirs_id = issue_challenge(theirs, np.random.default_rng(0)).challenge_id
+    rewrite_in_the_same_mtime(path, theirs)
+    db = CrpDatabase.load(path)
+    assert db.records[theirs_id].consumed
+    assert db == oracle_load(path) == theirs
+    # this process consumes a record and saves; a concurrent issue that read
+    # the file before that save consumes another one: the same path, mtime
+    # and size as the text this process wrote
+    theirs = dataclasses.replace(db, records=db.records.values())
+    ours_id = issue_challenge(db, np.random.default_rng(1)).challenge_id
+    db.save(path)
+    size = os.stat(path).st_size
+    theirs_id = next(cid for cid in theirs.unconsumed_ids() if cid != ours_id)
+    theirs.records[theirs_id] = dataclasses.replace(theirs.records[theirs_id], consumed=True)
+    rewrite_in_the_same_mtime(path, theirs)
+    assert os.stat(path).st_size == size
+    db = CrpDatabase.load(path)
+    assert db.records[theirs_id].consumed and not db.records[ours_id].consumed
+    assert db == oracle_load(path) == theirs
+    # the same bytes rewritten, and copied to a second path
+    path.write_bytes(path.read_bytes())
+    assert CrpDatabase.load(path) == oracle_load(path) == theirs
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(path.read_bytes())
+    assert CrpDatabase.load(copy) == oracle_load(copy) == theirs
+
+
+def test_the_lines_save_keeps_are_the_lines_of_the_text_it_wrote(tmp_path):
+    # splitlines splits at each of these; the JSON encoder escapes them all
+    digest = "a\u2028b\x85c\x1cd\re"
+    db = dataclasses.replace(BASE, device_digest=digest, records=BASE.records.values())
+    db.records[0] = TaggedRecord(**{f.name: getattr(db.records[0], f.name)
+                                    for f in dataclasses.fields(CrpRecord)}, tag=digest)
+    path = tmp_path / "db.jsonl"
+    db.save(path)
+    text, lines, decoded = protocol._kept
+    assert text.encode() == path.read_bytes() == oracle_text(db).encode()
+    assert lines == [line for line in text.splitlines() if line.strip()]
+    assert decoded is None
+    loaded = CrpDatabase.load(path)
+    assert loaded == oracle_load(path)
+    assert loaded.device_digest == digest
 
 
 def test_save_failing_mid_write_keeps_the_old_file(tmp_path, monkeypatch):
