@@ -13,9 +13,7 @@ byte-identical CSV/JSON files, recorded in a digest manifest.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import os
 from dataclasses import dataclass, field, replace
 
@@ -294,11 +292,14 @@ def _digest_of_digests(digests) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue()
+    """The header and rows as csv.writer's default dialect writes them.
+
+    Each row is its fields' str joined by commas and ended by "\r\n", which
+    is csv.writer's output whenever it has nothing to quote: every row has
+    at least two fields, and each field is an int (numpy ints too), the
+    repr of a float (inf and nan too), a hex digest, "A", "B" or "".
+    """
+    return "".join([",".join(map(str, row)) + "\r\n" for row in (header, *rows)])
 
 
 def _summary_payload(report: ExperimentReport) -> dict:

@@ -73,6 +73,10 @@ _NOISE_CHUNK = 6
 # 2-CPU host
 _NOISE_WORKERS = 2
 
+# the decimal texts of the default 10-bit challenge grid's levels, which
+# _level_digests looks up instead of formatting each level with str
+_LEVEL_TEXTS = tuple(map(str, range(2**10)))
+
 # the finest challenge grid: up to 51 bits round(v / step) recovers every
 # level's voltage; from 52 it can miss by one, and at 53 levels share voltages
 _MAX_BITS = 51
@@ -406,20 +410,30 @@ def _level_digests(levels: np.ndarray, bits: int = 10,
         raise ValueError(f"level {q} outside [0, {top})")
     # bits and v2pi are numbers, so "[]" is the empty levels list
     head, tail = canonical_text({"levels": [], "bits": bits, "v2pi": v2pi_nominal}).split("[]")
-    return [
-        hashlib.sha256(f"{head}[{','.join(map(str, row))}]{tail}".encode()).hexdigest()
-        for row in levels.tolist()
-    ]
+    rows = levels.tolist()
+    if top <= len(_LEVEL_TEXTS):
+        joined = [",".join([_LEVEL_TEXTS[q] for q in row]) for row in rows]
+    else:
+        joined = [",".join(map(str, row)) for row in rows]
+    return [hashlib.sha256(f"{head}[{text}]{tail}".encode()).hexdigest() for text in joined]
 
 
 def _drive_voltages(challenges) -> np.ndarray:
     """Drive voltages of a Challenge or a bare voltage vector (shape (MZIs,)),
-    or of a sequence of Challenges or a voltage matrix (shape (N, MZIs))."""
+    or of a sequence of Challenges or a voltage matrix (shape (N, MZIs)).
+    A sequence that mixes Challenges and voltage vectors raises ValueError
+    naming its first element of the other kind than element 0."""
     if isinstance(challenges, Challenge):
         return challenges.voltages
-    if (not isinstance(challenges, np.ndarray) and len(challenges)
-            and isinstance(challenges[0], Challenge)):
-        return np.array([c.voltages for c in challenges])
+    if not isinstance(challenges, np.ndarray) and len(challenges):
+        kinds = ("voltage vector", "Challenge")
+        first = isinstance(challenges[0], Challenge)
+        for k, challenge in enumerate(challenges):
+            if isinstance(challenge, Challenge) is not first:
+                raise ValueError(f"challenges mix Challenges and voltage vectors: element "
+                                 f"{k} is a {kinds[not first]}, element 0 a {kinds[first]}")
+        if first:
+            return np.array([c.voltages for c in challenges])
     volts = np.asarray(challenges, dtype=float)
     if not np.isfinite(volts).all():
         raise ValueError("drive voltages must be finite")
@@ -813,30 +827,30 @@ def _noise_workers() -> int:
 def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> None:
     """measure_batch's noise pass: _noisy_block over the (k, modes) flat,
     _NOISE_CHUNK rows at a time, on the caller and up to _noise_workers() - 1
-    threads.  The caller reads the drift walk for every row first, and
-    derives every row's substream seed words in one pass, so the workers
-    share nothing but their disjoint rows of flat.  Each worker claims the
-    next chunk when it has sampled its last, so a thread that starts late
-    or loses its CPU leaves its share to the others instead of holding up
-    the batch.  Chunks are claimed in row order and a claimed chunk is
-    always sampled, so the exception that reaches the caller, once every
-    thread has ended, is the first failing chunk's, as on one worker."""
+    threads.  The caller reads the drift walk for every row first and, from
+    three chunks on, derives every row's substream seed words in one pass,
+    so the workers share nothing but their disjoint rows of flat.  Each
+    worker claims the next chunk when it has sampled its last, so a thread
+    that starts late or loses its CPU leaves its share to the others
+    instead of holding up the batch.  Chunks are claimed in row order and
+    a claimed chunk is always sampled, so the exception that reaches the
+    caller, once every thread has ended, is the first failing chunk's, as
+    on one worker."""
     import threading
 
     starts = range(0, len(flat), _NOISE_CHUNK)
     drift = noise._drift_rows(flat_indices)
-    if len(starts) > 1:
-        workers = min(_noise_workers(), len(starts))
+    # a lone chunk, as every measure call has, runs on one worker, which
+    # skips the CPU count's syscall
+    workers = min(_noise_workers(), len(starts)) if len(starts) > 1 else 1
+    if len(flat) > 2 * _NOISE_CHUNK:
         words = _substream_words(noise.seed, flat_indices)
 
         def substreams(rows):
             return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words[rows]]
     else:
-        # a lone chunk, as every measure call has: the words' numpy pass
-        # costs more than its few default_rng calls, and one worker skips
-        # the CPU count's syscall
-        workers = 1
-
+        # up to two chunks: the words' numpy pass has a fixed cost of about
+        # 150 us, more than these rows' default_rng calls
         def substreams(rows):
             return [noise.measurement_rng(index) for index in flat_indices[rows]]
 

@@ -158,8 +158,8 @@ def loose_hamming_distance(a: QuantizedResponse, b: QuantizedResponse, looseness
     """
     looseness = integer(looseness, "looseness", 1)
     _check_comparable(a, b)
-    diff = np.abs(np.asarray(a.bins) - np.asarray(b.bins))
-    return int(np.count_nonzero(diff >= looseness))
+    # bins are tuples of ints, which Python compares faster than numpy converts them
+    return sum(abs(x - y) >= looseness for x, y in zip(a.bins, b.bins))
 
 
 def euclidean_distance(a: QuantizedResponse, b: QuantizedResponse) -> float:

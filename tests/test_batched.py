@@ -524,19 +524,26 @@ def test_multi_chunk_batch_seeds_each_row_as_measure_does(monkeypatch, seed):
 
 
 def test_a_lone_noise_chunk_seeds_through_measurement_rng(monkeypatch):
-    # every measure call: a few default_rng calls cost less than the words pass
+    # every measure call, and any batch of up to two chunks: a few default_rng
+    # calls cost less than the words pass; the two-chunk batch still splits
+    # across two workers
     def forbidden(*args):
-        raise AssertionError("a lone chunk took the words pass")
+        raise AssertionError("a batch of at most two chunks took the words pass")
 
     device = PRESET_DEVICES[1]
-    challenges = random_challenges(4, device.layout.mzi_count, _NOISE_CHUNK)
+    n = 2 * _NOISE_CHUNK
+    challenges = random_challenges(4, device.layout.mzi_count, n)
     stream = NoiseStream(4, device.layout.mode_count)
     with noise_workers(1):
-        expected = measure_batch(device, challenges + challenges[:1], stream,
-                                 np.arange(_NOISE_CHUNK + 1))
+        expected = measure_batch(device, challenges + challenges[:1], stream, np.arange(n + 1))
     monkeypatch.setattr(fabrication, "_substream_words", forbidden)
-    batch = measure_batch(device, challenges, stream, np.arange(_NOISE_CHUNK))
-    assert np.array_equal(batch, expected[:-1])
+    batch = measure_batch(device, challenges[:_NOISE_CHUNK], stream, np.arange(_NOISE_CHUNK))
+    assert np.array_equal(batch, expected[:_NOISE_CHUNK])
+    threads = threading.active_count()
+    with noise_workers(2):
+        pair = measure_batch(device, challenges, stream, np.arange(n))
+    assert threading.active_count() == threads
+    assert np.array_equal(pair, expected[:-1])
     assert np.array_equal(measure(device, challenges[0], stream, 0).intensities, expected[0])
 
 

@@ -37,9 +37,11 @@ def sha256_of(path) -> str:
 @pytest.mark.parametrize("config, digest", [
     (small_pair_config(challenge_count=40, repeat_count=6),
      "84f0f29970bcb9899e8f391a9fdb1d8d4457a49101e97e3020580cfffcafadcf"),
+    (small_pair_config(challenge_count=40, repeat_count=6, noise=NoiseConfig.disabled()),
+     "8cce89645cb9bbd7f9af369dc62852af8ad30401370160bcb7807e2cafbe8fcd"),
     (large_pair_config(challenge_count=12, repeat_count=5),
      "d33e48ac77e6da7ad44e8618964b757065b601d6602e662982569881fd8de556"),
-], ids=["small-pair-noisy", "large-pair"])
+], ids=["small-pair-noisy", "small-pair-noiseless", "large-pair"])
 def test_experiment_manifest_is_pinned(tmp_path, config, digest):
     emit_artifacts(run_pair_experiment(config), tmp_path)
     assert sha256_of(tmp_path / "manifest.json") == digest

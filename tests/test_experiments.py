@@ -1,6 +1,8 @@
 """Unit tests for paired-device experiments and their artifacts."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,12 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzipuf.experiments import (
     CONFIG_FORMAT,
     ExperimentConfig,
     ExperimentReport,
     _config_payload,
+    _csv_text,
     config_from_dict,
     emit_artifacts,
     large_pair_config,
@@ -310,3 +315,28 @@ def test_finer_quantization_reaches_full_disagreement_majority():
     lhd = np.array([row[2] for row in report.inter_rows])
     assert float(np.mean(lhd == 8)) >= 0.60
     assert float(np.mean(lhd <= 5)) < 0.10
+
+
+# the fields of the CSV artifacts: ints, numpy ints, repr of floats (inf
+# and nan too), sha256 hex digests, a device label or an empty separation
+CSV_FIELDS = (
+    st.integers()
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.integers(0, 255).map(np.uint8)
+    | st.floats().map(repr)
+    | st.text("0123456789abcdef", min_size=64, max_size=64)
+    | st.sampled_from(("A", "B", ""))
+)
+CSV_ROWS = st.lists(CSV_FIELDS, min_size=2, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(st.from_regex(r"[a-z][a-z_]*", fullmatch=True), min_size=2, max_size=6)
+       | CSV_ROWS,
+       rows=st.lists(CSV_ROWS, max_size=6))
+def test_csv_text_writes_what_csv_writer_writes(header, rows):
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert _csv_text(header, rows) == expected.getvalue()

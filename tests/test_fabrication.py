@@ -375,6 +375,7 @@ def test_challenge_range_error_names_the_first_offender(bits, levels):
        columns=st.integers(0, 12), data=st.data())
 @example(bits=10, v2pi=V2PI_NOMINAL, columns=10, data=None)
 @example(bits=51, v2pi=1e16, columns=3, data=None)
+@example(bits=11, v2pi=V2PI_NOMINAL, columns=4, data=None)  # the first grid past _LEVEL_TEXTS
 def test_level_digests_are_the_canonical_digest_of_each_row(bits, v2pi, columns, data):
     # v2pi's repr switches to exponent form from 1e16, and an int v2pi is
     # written without a point: both come from json, as in canonical_digest
@@ -442,6 +443,24 @@ def test_drive_voltages_of_mixed_grid_challenges_stack_their_voltages():
         assert np.array_equal(row, c.voltages)
         # a level q drives q * v2pi_nominal / 2**bits
         assert row.tolist() == [q * (c.v2pi_nominal / 2.0**c.bits) for q in c.levels]
+
+
+@pytest.mark.parametrize("order, position, kind, first", [
+    ((0, 1, 1), 1, "voltage vector", "Challenge"),
+    ((1, 1, 0), 2, "Challenge", "voltage vector"),
+], ids=["challenge-first", "vector-first"])
+def test_a_batch_mixing_challenges_and_voltage_vectors_is_refused(order, position, kind, first):
+    device = carve_device(small_chip(seed=61), 4, tuple(range(10)))
+    challenge = Challenge.random(np.random.default_rng(3), 10)
+    batch = [(challenge, np.zeros(10))[k] for k in order]
+    message = (f"^challenges mix Challenges and voltage vectors: "
+               f"element {position} is a {kind}, element 0 a {first}$")
+    with pytest.raises(ValueError, match=message):
+        voltages_to_phases(device, batch)
+    with pytest.raises(ValueError, match=message):
+        measure_batch(device, batch, None, np.arange(len(batch)))
+    with pytest.raises(ValueError, match=message):
+        measure_batch(device, batch, NoiseStream(1, mode_count=8), np.arange(len(batch)))
 
 
 def test_effective_voltages_symmetric_leakage():
