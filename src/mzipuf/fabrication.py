@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from ._codec import (
     canonical_digest,
@@ -62,16 +61,19 @@ _BLOCK_MZI_ROWS = 2048
 # clips while the noise sampler draws its mean as a single normal
 _CLIP_BOUND = 1e-6
 
-# measurements sampled together by _noisy_block.  Its largest temporary is
-# the packed (near-dark modes, S) snapshot buffer, about 0.25 MB per 6
-# large-pair measurements at S = 1000; every noise worker holds one, and
-# larger chunks grow the peak memory without running much faster.
-_NOISE_CHUNK = 6
+# the fewest snapshots per response whose clipped mean the noise sampler
+# draws as one moment-matched normal: below it, every snapshot is drawn.
+# NoiseConfig has the derivation
+_MOMENT_FLOOR = 23
 
-# the most threads measure_batch's noise pass runs on: peak memory grows by
-# a chunk's buffers per thread, and a third thread ran slower than two on a
-# 2-CPU host
-_NOISE_WORKERS = 2
+# Philox words a measure_batch noise chunk draws: max(1, 4096 // window)
+# rows, 170 large-pair measurements at S >= _MOMENT_FLOOR, whose largest
+# temporaries take about 32 kB each
+_NOISE_WORDS = 4096
+
+# measurement indices per drift block: the drift walk keeps one position per
+# block, and a lone measurement draws at most a block of steps
+_DRIFT_BLOCK = 64
 
 # the decimal texts of the default 10-bit challenge grid's levels, which
 # _level_digests looks up instead of formatting each level with str
@@ -432,6 +434,10 @@ def _drive_voltages(challenges) -> np.ndarray:
             if isinstance(challenge, Challenge) is not first:
                 raise ValueError(f"challenges mix Challenges and voltage vectors: element "
                                  f"{k} is a {kinds[not first]}, element 0 a {kinds[first]}")
+        if first and len(challenges) == 1:  # as measure passes one
+            (lone,) = challenges
+            return _level_voltages(np.array(lone.levels, dtype=np.int64)[None], lone.bits,
+                                   lone.v2pi_nominal)
         if first:
             return np.array([c.voltages for c in challenges])
     volts = np.asarray(challenges, dtype=float)
@@ -488,11 +494,21 @@ class NoiseConfig:
     index (bounded random walk, reflected at +-drift bound), and additive
     detector noise; negative snapshot values clip to zero.
 
-    The average is sampled, not summed snapshot by snapshot: a snapshot is
-    normal before clipping, so a mode whose snapshots clip with total
-    probability at most 1e-6 gets its mean as one normal draw, exact in
-    distribution up to that probability; the other, near-dark modes average
-    samples_per_response clipped snapshots.  _noisy_block has the details.
+    The average is sampled, not summed snapshot by snapshot.  A snapshot is
+    normal before clipping, so from S = 23 snapshots on, each mode's mean
+    is one normal draw:
+    - a mode whose snapshots clip with total probability at most 1e-6 draws
+      the unclipped mean, exact in distribution up to that probability;
+    - every other, near-dark mode draws a normal with the exact mean and
+      variance of the mean of S clipped snapshots (moment-matched).
+
+    The floor of 23 is where the Berry-Esseen theorem bounds the Kolmogorov
+    distance between the mean of S clipped snapshots and that normal by
+    0.2: the bound is C * rho / v**1.5 / sqrt(S), with C = 0.4748 and v and
+    rho a clipped snapshot's variance and third absolute central moment, and
+    rho / v**1.5 peaks at 1.985, at a mean of 0, over the non-negative means
+    every mode has while its drift factor is positive.  Below 23, every mode
+    averages S clipped snapshots.  _noisy_block has the details.
     """
 
     enabled: bool = True
@@ -519,177 +535,131 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(integer(s, "seed", 0) for s in (int_tuple(seed) if np.ndim(seed) else (seed,)))
 
 
+def _seek(bit_generator: np.random.Philox, counter: int) -> None:
+    """Point a Philox at a 256-bit counter: its next word is the first of
+    block counter + 1."""
+    state = bit_generator.state
+    state["state"]["counter"] = np.array([counter >> shift & 0xFFFFFFFFFFFFFFFF
+                                          for shift in (0, 64, 128, 192)], np.uint64)
+    state["buffer_pos"] = 4  # the buffered words are spent
+    bit_generator.state = state
+
+
+# numpy's float64 log and exp give other bits where AVX-512 is dispatched
+# than where it is not; the libm calls of math give the same on every host
+_log = np.frompyfunc(math.log, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 class NoiseStream:
     """Seeded noise source for one detector array.
 
-    Every measurement index gets an independent substream derived from
-    (seed, index), so replaying any single measurement is deterministic
-    regardless of the order measurements are taken in.  The slow drift walk
-    is generated once per stream and cached, which keeps it consistent
-    across out-of-order queries.
+    Measurement index i owns words [i * W, (i + 1) * W) of a counter-based
+    generator, numpy's Philox keyed once from (seed, 0) (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC 2011): W is the
+    index's normals, rounded up to a multiple of 4.  Its drift comes from
+    the walk's checkpoint at its block of _DRIFT_BLOCK indices and that
+    block's own steps.  So a measurement depends only on (seed, index) and
+    replays alike in any order and any batch.  Every measurement points the
+    stream's generators at its window, so threads must not share a stream.
     """
 
     def __init__(self, seed, mode_count: int, config: NoiseConfig | None = None):
         self.seed = _seed_key(seed)
         self.mode_count = integer(mode_count, "mode_count", 1)
         self.config = config if config is not None else NoiseConfig()
-        self._drift_rng = np.random.default_rng((*self.seed, 1))
-        # the walk's latest position, and 1 + position at every index so far
-        self._walk_end = [0.0] * self.mode_count
-        self._drift = [1.0 + np.array(self._walk_end)]
+        samples = self.config.samples_per_response
+        # normals per index: one per mode, or one per snapshot below the floor
+        self._draws = self.mode_count * (1 if samples >= _MOMENT_FLOOR else samples)
+        self._window = -(-self._draws // 4) * 4
+        self._words = np.random.Philox(np.random.SeedSequence((*self.seed, 0)))
+        self._steps = np.random.Generator(np.random.Philox(np.random.SeedSequence((*self.seed, 1))))
+        # the free walk at the first index of each block, in the first
+        # _reached rows, and the last block's whole walk
+        self._checkpoints = np.zeros((2, self.mode_count))
+        self._reached = 1
+        self._last_walk = (None, None)
 
     def drift_factors(self, measurement_index: int) -> np.ndarray:
         """Per-mode coupling drift multiplier at a measurement index."""
-        return self._drift_rows([measurement_index])[0]
+        return self._drift_rows([integer(measurement_index, "measurement_index", 0)])[0]
 
-    def _drift_rows(self, indices) -> np.ndarray:
-        """drift_factors at each of a list of indices, as a (len(indices),
-        modes) matrix; the walk is extended once, to the largest index."""
-        if min(indices) < 0:
-            raise ValueError("measurement_index must be >= 0")
+    def _drift_rows(self, indices: list) -> np.ndarray:
+        """drift_factors at each of a list of indices >= 0, as a
+        (len(indices), modes) matrix.
+
+        Reflecting the walk at +-bound after every step equals, in law,
+        folding the free walk once, since the steps are symmetric: the
+        factor is 1 + fold(free walk), with fold of period 4 * bound.  A
+        step or bound of 0 gives factors of exactly 1, and draws nothing.
+        """
         cfg = self.config
-        missing = max(indices) + 1 - len(self._drift)
-        if missing > 0:
-            # one call draws the same normals as one call per step
-            steps = self._drift_rng.normal(0.0, cfg.coupling_drift_step, (missing, self.mode_count))
-            bound = cfg.coupling_drift_bound
-            period, top = 4.0 * bound, 2.0 * bound
-            end = self._walk_end
-            # each row of steps becomes its position: reflect end + step at
-            # +-bound by folding it with period 4 * bound, in Python floats,
-            # whose % rounds as np.mod does; row by row, so that only one
-            # step's floats are alive at a time
-            for k in range(missing):
-                if bound:
-                    end = [(period - f if (f := (e + s + bound) % period) > top else f) - bound
-                           for e, s in zip(end, steps[k].tolist())]
-                steps[k] = end
-            self._walk_end = end
-            steps += 1.0
-            self._drift.extend(steps)
-        return np.array([self._drift[i] for i in indices])
+        bound = cfg.coupling_drift_bound
+        if not (cfg.coupling_drift_step and bound):
+            return np.ones((len(indices), self.mode_count))
+        blocks, offsets = np.divmod(np.array(indices), _DRIFT_BLOCK)
+        walk = np.empty((len(indices), self.mode_count))
+        for block in sorted(set(blocks.tolist())):
+            rows = blocks == block
+            walk[rows] = self._block_walk(block)[offsets[rows]]
+        period = 4.0 * bound
+        folded = np.mod(walk + bound, period)
+        folded = np.where(folded > 2.0 * bound, period - folded, folded)
+        folded -= bound
+        folded += 1.0
+        return folded
 
-    def measurement_rng(self, measurement_index: int) -> np.random.Generator:
-        """The generator of an index's substream.  measure_batch builds the
-        same ones for a larger batch from _substream_words."""
-        return np.random.default_rng(
-            (*self.seed, 0, integer(measurement_index, "measurement_index", 0)))
+    def _block_walk(self, block: int) -> np.ndarray:
+        """The free walk at the _DRIFT_BLOCK + 1 indices from block *
+        _DRIFT_BLOCK on: the block's checkpoint, then the running sum of its
+        steps, which its own Philox stretch (block * 2**64 on) draws.  The
+        last row is the next block's checkpoint; blocks between the last
+        checkpoint and this one are walked to get there."""
+        last, walk = self._last_walk
+        if block == last:
+            return walk
+        if block + 2 > len(self._checkpoints):
+            # doubled in one allocation, which fails at once for an index
+            # too far to walk to
+            grown = np.empty((max(block + 2, 2 * len(self._checkpoints)), self.mode_count))
+            grown[:self._reached] = self._checkpoints[:self._reached]
+            self._checkpoints = grown
+        for k in range(min(block, self._reached - 1), block + 1):
+            walk = np.empty((_DRIFT_BLOCK + 1, self.mode_count))
+            walk[0] = self._checkpoints[k]
+            _seek(self._steps.bit_generator, k << 64)
+            self._steps.standard_normal(out=walk[1:])
+            walk[1:] *= self.config.coupling_drift_step
+            np.cumsum(walk, axis=0, out=walk)
+            if k + 1 == self._reached:
+                self._checkpoints[self._reached] = walk[-1]
+                self._reached += 1
+        self._last_walk = (block, walk)
+        return walk
 
+    def _normals(self, indices: list) -> np.ndarray:
+        """Each index's window of standard normals, as a (len(indices),
+        draws) matrix.
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, hashed with these multipliers and mixed with each other
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's split of an int >= 0 into 32-bit words, lowest first;
-    0 is one word."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-@cache
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    """The (xor, multiplier) pairs of count SeedSequence hashes in a row:
-    each hash xors its value with the running constant, multiplies the
-    constant by mult, then multiplies the value by the new constant."""
-    constants = [init]
-    for _ in range(count):
-        constants.append(constants[-1] * mult & _MASK32)
-    return tuple(zip(map(np.uint32, constants), map(np.uint32, constants[1:])))
-
-
-def _hashed(values: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
-    values = values ^ xor
-    values *= mult
-    values ^= values >> _XSHIFT
-    return values
-
-
-def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    result ^= result >> _XSHIFT
-    return result
-
-
-def _seed_state(entropy: list) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(4, np.uint64) for N rows at once.
-
-    entropy[j] holds word j of every row's entropy, as an (N,) uint32
-    array, or a (1,) one where all rows share it; the last one is (N,).
-    Arrays, never numpy scalars, so every product wraps modulo 2**32
-    without numpy's scalar overflow warning.
-    """
-    hashes = iter(_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(entropy), _POOL_SIZE)))
-    zero = np.zeros(1, np.uint32)
-    # the first pool-size words, zeros past the entropy's end
-    pool = [_hashed(word, *next(hashes))
-            for word in (entropy + [zero] * _POOL_SIZE)[:_POOL_SIZE]]
-    # every pool word into every other, so late words reach earlier ones
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mixed(pool[dst], _hashed(pool[src], *next(hashes)))
-    # the words past the pool size, each into every pool word
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mixed(pool[dst], _hashed(word, *next(hashes)))
-    # generate_state: 8 uint32 words from the pool in turn, read as 4 uint64
-    state = np.empty((len(entropy[-1]), 2 * _POOL_SIZE), np.uint32)
-    for j, constants in enumerate(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)):
-        state[:, j] = _hashed(pool[j % _POOL_SIZE], *constants)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _substream_words(seed: tuple[int, ...], indices) -> np.ndarray:
-    """The (N, 4) uint64 words PCG64 seeds measurement_rng(index) from, for
-    each of N indices >= 0: SeedSequence((*seed, 0, index)).generate_state(4,
-    np.uint64), computed for all N in one pass of uint32 numpy arithmetic.
-
-    An index past 2**32 - 1 splits into more words, and so does a seed,
-    so the entropy's length varies: rows are grouped by their index's
-    word count, and the seed's words are shared by every row.
-    """
-    index = np.asarray(indices)
-    if index.dtype.kind not in "iu":  # numpy may read ints past 2**63 as floats
-        index = np.array(indices, dtype=object)
-    if index.size and index.min() < 0:
-        raise ValueError(f"measurement indices must be >= 0, got {index.min()}")
-    key = [np.array([word], np.uint32)
-           for part in seed for word in _uint32_words(integer(part, "seed", 0))]
-    key.append(np.zeros(1, np.uint32))
-    # the index's words, lowest first, and how many of them each row has
-    columns = [(index & _MASK32).astype(np.uint32)]
-    widths = np.ones(len(index), dtype=int)
-    rest = index >> 32
-    while rest.any():
-        widths += rest != 0
-        columns.append((rest & _MASK32).astype(np.uint32))
-        rest = rest >> 32
-    words = np.empty((len(index), _POOL_SIZE), np.uint64)
-    for width in np.unique(widths).tolist():
-        rows = widths == width
-        words[rows] = _seed_state(key + [column[rows] for column in columns[:width]])
-    return words
-
-
-class _SeedWords(ISeedSequence):
-    """A seed sequence that hands PCG64 a row of _substream_words, so that
-    Generator(PCG64(_SeedWords(row))) is measurement_rng(index) without
-    SeedSequence's hashing.  PCG64 asks for 4 uint64 words, once."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        A run of consecutive indices is one random_raw call.  Box-Muller
+        turns each pair of words (w1, w2) into two normals, from u1 in
+        (0, 1] and u2 in [0, 1), each the top 53 bits of its word.
+        """
+        window = self._window
+        words = np.empty((len(indices), window), np.uint64)
+        breaks = [k for k in range(1, len(indices)) if indices[k] != indices[k - 1] + 1]
+        for start, stop in zip([0, *breaks], [*breaks, len(indices)]):
+            _seek(self._words, indices[start] * (window // 4))
+            words[start:stop] = self._words.random_raw((stop - start) * window).reshape(-1, window)
+        pairs = -(-self._draws // 2)
+        top = (words[:, :2 * pairs] >> 11).astype(float)
+        radius = np.sqrt(-2.0 * _log((top[:, 0::2] + 1.0) * 2.0**-53).astype(float))
+        angle = top[:, 1::2] * (TWO_PI * 2.0**-53)
+        normals = np.empty((len(indices), 2 * pairs))
+        normals[:, 0::2] = radius * np.cos(angle)
+        normals[:, 1::2] = radius * np.sin(angle)
+        return normals[:, :self._draws]
 
 
 @dataclass(eq=False)
@@ -719,59 +689,65 @@ def _one_draw_threshold(samples: int) -> float:
     return high
 
 
-def _noisy_block(cfg: NoiseConfig, rngs, drift: np.ndarray, out: np.ndarray) -> None:
+def _noisy_block(cfg: NoiseConfig, normals: np.ndarray, drift: np.ndarray,
+                 out: np.ndarray) -> None:
     """Means of S = samples_per_response noisy snapshots of k ideal vectors,
-    in place: row j of the C-contiguous (k, modes) out holds an ideal vector
-    on entry and its measurement on return, drawn from the j-th of a list
-    of k generators, its index's substream; row j of drift holds that
-    index's drift factors.
+    in place: row j of the (k, modes) out holds an ideal vector on entry and
+    its measurement on return, from row j of normals, its index's window,
+    and row j of drift, its index's drift factors.
 
     Before clipping, a snapshot drift * (1 + jitter) * ideal + detector is
     normal with mean mu = drift * ideal and variance sigma**2 =
-    (mu * jitter_sigma)**2 + detector_sigma**2.  Where mu >= z * sigma, with
-    S * Phi(-z) = _CLIP_BOUND, the chance that any of the S snapshots clips
-    is at most _CLIP_BOUND, and short of that event their mean is exactly
-    N(mu, sigma**2 / S).  Such a mode takes one draw, max(mu + sigma /
-    sqrt(S) * z, 0), exact in distribution up to _CLIP_BOUND.  Every other
-    mode averages S clipped snapshots max(mu + sigma * z, 0).
+    (mu * jitter_sigma)**2 + detector_sigma**2.  Below S = _MOMENT_FLOOR,
+    the window holds S normals z per mode, and the mode averages its S
+    clipped snapshots max(mu + sigma * z, 0).  From it on, the window holds
+    one normal z per mode:
+    - where mu >= t * sigma, with S * Phi(-t) = _CLIP_BOUND, the chance
+      that any snapshot clips is at most _CLIP_BOUND, and short of that
+      their mean is exactly N(mu, sigma**2 / S): the mode is max(mu +
+      sigma / sqrt(S) * z, 0);
+    - every other mode is max(m1 + sqrt((m2 - m1**2) / S) * z, 0), with m1
+      and m2 the first two moments of a clipped snapshot: for a = mu /
+      sigma, m1 = mu Phi(a) + sigma phi(a) and m2 = (mu**2 + sigma**2)
+      Phi(a) + mu sigma phi(a).
 
-    Each index draws from its own substream: one normal per mode, for every
-    mode, then its near-dark rows of one packed (near-dark modes, S)
-    snapshot buffer.  Every other step is elementwise and runs once over the
-    block; each snapshot row is C-contiguous, so its mean sums as a lone
-    row's does, and a row's result does not depend on the block it is in.
+    Every step is elementwise, or a row's own sum, so a row's result does
+    not depend on the block it is in.
     """
     samples = cfg.samples_per_response
-    # out is read only here, before its first draw overwrites it
+    # out is read only here, before it is overwritten
     mean = drift * out
     sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
-    dark = mean < _one_draw_threshold(samples) * sigma
-    total = np.count_nonzero(dark)
-    counts = dark.sum(axis=1).tolist()
-    # one row of snapshots per near-dark mode: a row mean reduces contiguous memory
-    snapshots = np.empty((total, samples))
-    first = 0
-    for row, (rng, count) in enumerate(zip(rngs, counts)):
-        rng.standard_normal(out=out[row])
-        if count:
-            rng.standard_normal(out=snapshots[first:first + count])
-            first += count
-    out *= sigma / math.sqrt(samples)
+    if samples < _MOMENT_FLOOR:
+        # one C-contiguous row of snapshots per mode, summed as a lone row's
+        snapshots = normals.reshape(-1, samples) * sigma.reshape(-1, 1)
+        snapshots += mean.reshape(-1, 1)
+        np.maximum(snapshots, 0.0, out=snapshots)
+        out[:] = (np.add.reduce(snapshots, axis=1) / samples).reshape(out.shape)
+        return
+    np.multiply(normals, sigma / math.sqrt(samples), out=out)
     out += mean
     np.maximum(out, 0.0, out=out)
-    if first:
-        snapshots *= sigma[dark][:, None]
-        snapshots += mean[dark][:, None]
-        np.maximum(snapshots, 0.0, out=snapshots)
-        # the arithmetic of snapshots.mean(axis=1), without its Python wrapper
-        out[dark] = np.add.reduce(snapshots, axis=1) / samples
+    dark = mean < _one_draw_threshold(samples) * sigma
+    if dark.any():
+        mu, sd = mean[dark], sigma[dark]
+        # a is -inf where mu < 0 = sigma; Phi and phi are exactly 0 from -39
+        with np.errstate(divide="ignore", over="ignore"):
+            a = np.maximum(mu / sd, -40.0)
+        cdf = 0.5 * _erfc(a / -math.sqrt(2.0)).astype(float)
+        pdf = _exp(a * a * -0.5).astype(float) / math.sqrt(2.0 * math.pi)
+        m1 = mu * cdf + sd * pdf
+        m2 = (mu * mu + sd * sd) * cdf + mu * sd * pdf
+        spread = np.sqrt(np.maximum(m2 - m1 * m1, 0.0) / samples)
+        out[dark] = np.maximum(m1 + spread * normals[dark], 0.0)
 
 
 def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None, indices):
     """Averaged output power of many measurements.
 
     challenges is a sequence of N Challenges or voltage vectors, and
-    indices, of an integer dtype and all >= 0, has shape (N,) or (N, R):
+    indices, of an integer dtype (or Python ints, which numpy holds as
+    objects past 2**64 - 1) and all >= 0, has shape (N,) or (N, R):
     challenge i is measured at every measurement index of row i.  Returns
     intensities of shape indices.shape + (modes,), where entry [i] (or
     [i, r]) equals measure(device, challenges[i], noise, index).intensities
@@ -779,11 +755,9 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
 
     Two passes: challenges are propagated _BLOCK_MZI_ROWS MZI rows at a
     time, once each, their ideal intensities written to all R of their rows;
-    with noise on, the rows are then sampled in place _NOISE_CHUNK at a time
-    by _noisy_block, each index from its own substream, as measure does.
-    The chunks are shared between the caller and threads (_sample_noise); a
-    row depends only on its index's substream, ideal row and drift row, so
-    the result does not depend on which worker samples it or when.
+    with noise on, the rows are then sampled in place by _noisy_block,
+    max(1, _NOISE_WORDS // window) at a time, each from its index's window
+    and drift, as measure does.  No thread is started.
     """
     indices = np.asarray(indices)
     modes = device.layout.mode_count
@@ -797,9 +771,11 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
             f"{len(challenges)} challenges need indices of shape (N,) or (N, R) "
             f"with N = {len(challenges)}, got shape {indices.shape}"
         )
-    if indices.dtype.kind not in "iu":
-        raise ValueError(f"measurement indices must be integers, got dtype {indices.dtype}")
     flat_indices = indices.ravel().tolist()
+    # numpy holds ints past 2**64 - 1 as objects
+    if indices.dtype.kind not in "iu" and not (
+            indices.dtype == object and all(type(i) is int for i in flat_indices)):
+        raise ValueError(f"measurement indices must be integers, got dtype {indices.dtype}")
     if flat_indices and min(flat_indices) < 0:
         raise ValueError(f"measurement indices must be >= 0, got {min(flat_indices)}")
     out = np.empty((indices[:, None] if indices.ndim == 1 else indices).shape + (modes,))
@@ -807,82 +783,14 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     for start in range(0, len(out), block):
         thetas = voltages_to_phases(device, challenges[start:start + block])
         out[start:start + block] = propagate(device.layout, thetas, device.arrays.couplers)[:, None]
-    if noisy and flat_indices:
-        _sample_noise(noise, flat_indices, out.reshape(-1, modes))
+    if noisy:
+        flat = out.reshape(-1, modes)
+        rows = max(1, _NOISE_WORDS // noise._window)
+        for start in range(0, len(flat), rows):
+            chunk = flat_indices[start:start + rows]
+            _noisy_block(noise.config, noise._normals(chunk), noise._drift_rows(chunk),
+                         flat[start:start + rows])
     return out.reshape(indices.shape + (modes,))
-
-
-def _noise_workers() -> int:
-    """Threads the noise pass may use: the CPUs this process may run on,
-    at most _NOISE_WORKERS."""
-    import os
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS has no sched_getaffinity
-        cpus = os.cpu_count() or 1
-    return min(_NOISE_WORKERS, cpus)
-
-
-def _sample_noise(noise: NoiseStream, flat_indices: list, flat: np.ndarray) -> None:
-    """measure_batch's noise pass: _noisy_block over the (k, modes) flat,
-    _NOISE_CHUNK rows at a time, on the caller and up to _noise_workers() - 1
-    threads.  The caller reads the drift walk for every row first and, from
-    three chunks on, derives every row's substream seed words in one pass,
-    so the workers share nothing but their disjoint rows of flat.  Each
-    worker claims the next chunk when it has sampled its last, so a thread
-    that starts late or loses its CPU leaves its share to the others
-    instead of holding up the batch.  Chunks are claimed in row order and
-    a claimed chunk is always sampled, so the exception that reaches the
-    caller, once every thread has ended, is the first failing chunk's, as
-    on one worker."""
-    import threading
-
-    starts = range(0, len(flat), _NOISE_CHUNK)
-    drift = noise._drift_rows(flat_indices)
-    # a lone chunk, as every measure call has, runs on one worker, which
-    # skips the CPU count's syscall
-    workers = min(_noise_workers(), len(starts)) if len(starts) > 1 else 1
-    if len(flat) > 2 * _NOISE_CHUNK:
-        words = _substream_words(noise.seed, flat_indices)
-
-        def substreams(rows):
-            return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words[rows]]
-    else:
-        # up to two chunks: the words' numpy pass has a fixed cost of about
-        # 150 us, more than these rows' default_rng calls
-        def substreams(rows):
-            return [noise.measurement_rng(index) for index in flat_indices[rows]]
-
-    claims = iter(starts)
-    lock = threading.Lock()
-    errors = {}  # first row of a failed chunk: its exception
-
-    def work():
-        while True:
-            with lock:
-                row = None if errors else next(claims, None)
-            if row is None:
-                return
-            rows = slice(row, row + _NOISE_CHUNK)
-            try:
-                _noisy_block(noise.config, substreams(rows), drift[rows], flat[rows])
-            except BaseException as exc:  # re-raised on the caller
-                with lock:
-                    errors[row] = exc
-
-    threads = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
 
 
 def measure(

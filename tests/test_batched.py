@@ -2,30 +2,33 @@
 
 The references below are the per-MZI loops the batched code replaced: one
 MziSettings and one mzi_unitary product per slot, with numpy scalar
-arithmetic, and the per-index noise sampler the block sampler replaced.
-The batched results must equal them exactly, not within a tolerance,
-because experiment artifacts are compared byte for byte.
+arithmetic, and a per-index noise sampler that draws each index's window
+from a Philox of its own and moment-matches its near-dark modes in Python
+floats.  The batched results must equal them exactly, not within a
+tolerance, because experiment artifacts are compared byte for byte.
 """
 
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mzipuf
 from mzipuf import fabrication
 from mzipuf.fabrication import (
     LARGE_PAIR,
     SMALL_PAIR,
     _BLOCK_MZI_ROWS,
-    _NOISE_CHUNK,
-    _NOISE_WORKERS,
+    _MOMENT_FLOOR,
+    _NOISE_WORDS,
     Challenge,
     ChipLayoutSpec,
     NoiseConfig,
@@ -89,44 +92,58 @@ def reference_measure(device, challenge):
     )
 
 
+def window_normals(noise, index):
+    """The normals of an index's window, from a Philox of its own pointed at
+    the window, one Box-Muller pair of words at a time."""
+    samples = noise.config.samples_per_response
+    draws = noise.mode_count * (1 if samples >= _MOMENT_FLOOR else samples)
+    window = -(-draws // 4) * 4
+    key = np.random.SeedSequence((*noise.seed, 0)).generate_state(2, np.uint64)
+    words = np.random.Philox(key=key, counter=index * window // 4).random_raw(window).tolist()
+    normals = []
+    for w1, w2 in zip(words[0::2], words[1::2]):
+        radius = math.sqrt(-2.0 * math.log(((w1 >> 11) + 1) * 2.0**-53))
+        angle = (w2 >> 11) * (TWO_PI * 2.0**-53)
+        normals += [radius * np.cos(angle), radius * np.sin(angle)]
+    return np.array(normals[:draws])
+
+
 def per_index_noisy_mean(ideal, noise, index):
-    """One measurement at a time, from its own substream: the sampler the
-    block sampler replaced, as a loop oracle it must match bit for bit."""
+    """One measurement at a time, mode by mode, from its own window: the
+    sampler as a loop oracle that measure_batch must match bit for bit."""
     cfg = noise.config
     samples = cfg.samples_per_response
-    rng = noise.measurement_rng(index)
-    mean = noise.drift_factors(index) * ideal
-    sigma = np.hypot(cfg.coupling_jitter_sigma * mean, cfg.detector_sigma)
-    out = rng.standard_normal(noise.mode_count)
-    out *= sigma / math.sqrt(samples)
-    out += mean
-    np.maximum(out, 0.0, out=out)
-    dark = mean < _one_draw_threshold(samples) * sigma
-    if dark.any():
-        snapshots = rng.standard_normal((int(dark.sum()), samples))
-        snapshots *= sigma[dark, None]
-        snapshots += mean[dark, None]
-        np.maximum(snapshots, 0.0, out=snapshots)
-        out[dark] = snapshots.mean(axis=1)
-    return out
-
-
-def seed_words(seed, index):
-    """The words numpy seeds the PCG64 of measurement_rng(index) from."""
-    return np.random.SeedSequence((*seed, 0, index)).generate_state(4, np.uint64)
-
-
-def substream_state(rng):
-    """A generator's PCG64 state and increment, which name its substream
-    until it draws."""
-    return tuple(rng.bit_generator.state["state"].values())
+    z = window_normals(noise, index)
+    out = []
+    for mode, (drift, value) in enumerate(zip(noise.drift_factors(index), ideal)):
+        mu = float(drift * value)
+        sigma = float(np.hypot(cfg.coupling_jitter_sigma * mu, cfg.detector_sigma))
+        if samples < _MOMENT_FLOOR:
+            snapshots = np.maximum(z[mode * samples:(mode + 1) * samples] * sigma + mu, 0.0)
+            out.append(np.add.reduce(snapshots) / samples)
+        elif mu >= _one_draw_threshold(samples) * sigma:
+            out.append(max(z[mode] * (sigma / math.sqrt(samples)) + mu, 0.0))
+        else:
+            a = max(mu / sigma, -40.0) if sigma else -40.0
+            cdf = 0.5 * math.erfc(a / -math.sqrt(2.0))
+            pdf = math.exp(a * a * -0.5) / math.sqrt(2.0 * math.pi)
+            m1 = mu * cdf + sigma * pdf
+            m2 = (mu * mu + sigma * sigma) * cdf + mu * sigma * pdf
+            spread = math.sqrt(max(m2 - m1 * m1, 0.0) / samples)
+            out.append(max(m1 + spread * z[mode], 0.0))
+    return np.array(out)
 
 
 def noisy_mean(ideal, noise, index):
     """One measurement of an ideal vector: the block sampler on one row."""
     out = np.array([ideal], dtype=float)
-    _noisy_block(noise.config, [noise.measurement_rng(index)], noise._drift_rows([index]), out)
+    _noisy_block(noise.config, noise._normals([index]), noise._drift_rows([index]), out)
     return out[0]
+
+
+def chunk_rows(noise):
+    """Rows measure_batch samples together for this stream."""
+    return max(1, _NOISE_WORDS // noise._window)
 
 
 @st.composite
@@ -207,10 +224,11 @@ def test_noisy_measure_batch_matches_reference(device, seed):
 
 
 # (N, R) index shapes, R None for an (N,) vector: N * R crosses the noise
-# chunk, and N the large-pair propagation block of 31
+# chunk (8 rows of 22 modes at S = _MOMENT_FLOOR - 1, 170 from the floor
+# on), and N the large-pair propagation block of 31
 INDEX_SHAPES = (
     (1, None), (7, None), (9, None), (33, None), (1, 8), (1, 9), (1, 17),
-    (1, _NOISE_CHUNK), (1, _NOISE_CHUNK + 1), (3, 3), (2, 5), (4, 8), (33, 1), (34, 2),
+    (3, 3), (2, 5), (4, 8), (33, 1), (34, 2), (2, 90),
 )
 PRESET_DEVICES = tuple(
     preset.carve_pair(fabricate_chip(7, preset.chip_spec()))[0]
@@ -252,7 +270,7 @@ def test_measure_batch_equals_concatenated_split(device, noisy, data, seed):
 @st.composite
 def noisy_blocks(draw):
     """(device, challenges, indices, config): a measured block whose rows are
-    all bright (no snapshot draws), all near-dark, or a mix of both."""
+    all bright (no moment-matched modes), all near-dark, or a mix of both."""
     device = draw(carved_devices() | st.sampled_from(PRESET_DEVICES))
     n, repeats = draw(st.sampled_from(INDEX_SHAPES))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -261,7 +279,7 @@ def noisy_blocks(draw):
     # few distinct values: indices repeat and run out of order within a block
     size = math.prod(shape)
     indices = np.random.default_rng(seed).integers(0, max(2, size // 2), size).reshape(shape)
-    samples = draw(st.sampled_from((1, 2, 40, 1000)))
+    samples = draw(st.sampled_from((1, 2, _MOMENT_FLOOR - 1, _MOMENT_FLOOR, 40, 1000)))
     ideal = measure_batch(device, challenges, None, np.zeros(n, dtype=int))
     rows = draw(st.sampled_from(("bright", "jitter-dark", "dark", "mixed")))
     jitter, detector = {
@@ -298,281 +316,124 @@ def test_noisy_measure_batch_matches_per_index_sampler(case, seed):
     assert np.array_equal(noisy_mean(ideal[0], oracle, rows[0][0]), expected[0][0])
 
 
-def noise_workers(workers):
-    """Force the noise pass onto this many workers, whatever the CPU count."""
-    return mock.patch.object(fabrication, "_noise_workers", lambda: workers)
-
-
-@settings(max_examples=20, deadline=None)
-@given(device=st.sampled_from(PRESET_DEVICES), shape=st.sampled_from(((1, 17), (3, 9), (33,))),
-       samples=st.sampled_from((40, 1000)), seed=st.integers(0, 2**32 - 1))
-def test_threaded_noise_pass_equals_one_worker(device, shape, samples, seed):
-    # workers' chunks split a challenge's repeats; every run starts on
-    # a fresh stream, so the threaded runs extend the drift walk themselves
-    challenges = random_challenges(seed, device.layout.mzi_count, shape[0])
-    # few distinct values: indices repeat and run out of order
-    indices = np.random.default_rng(seed).integers(0, max(2, math.prod(shape) // 2), shape)
-    config = NoiseConfig(samples_per_response=samples)
-    results = []
-    threads = threading.active_count()
-    for workers in (1, 2, 3):
-        stream = NoiseStream(seed, device.layout.mode_count, config)
-        with noise_workers(workers):
-            results.append(measure_batch(device, challenges, stream, indices))
-        assert threading.active_count() == threads
-    assert np.array_equal(results[0], results[1])
-    assert np.array_equal(results[0], results[2])
-
-
-@pytest.mark.parametrize("affinity, workers", [({0}, 1), ({0, 1, 2, 3}, 2)])
-def test_noise_workers_follow_the_cpu_affinity(monkeypatch, affinity, workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    assert fabrication._noise_workers() == workers
-
-
-@pytest.mark.parametrize("cpus, workers", [(None, 1), (8, 2)])
-def test_noise_workers_fall_back_to_the_cpu_count(monkeypatch, cpus, workers):
-    # macOS has no os.sched_getaffinity, and os.cpu_count() may be None
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert fabrication._noise_workers() == workers
-
-
-def test_noise_threads_under_fast_switching():
-    # more workers than CPUs, switching threads every microsecond: the rows
-    # and the drift walk are those of one worker
-    device = PRESET_DEVICES[1]
-    n = 12 * _NOISE_CHUNK
-    challenges = random_challenges(6, device.layout.mzi_count, n)
-    indices = np.arange(n)[::-1] // 2
-    modes = device.layout.mode_count
-    with noise_workers(1):
-        expected = measure_batch(device, challenges, NoiseStream(6, modes), indices)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            stream = NoiseStream(6, modes)
-            with noise_workers(5):
-                assert np.array_equal(measure_batch(device, challenges, stream, indices), expected)
-            assert len(stream._drift) == indices.max() + 1
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_noise_threads_only_read_the_drift_walk(monkeypatch):
-    # extending the walk appends to a cache: only the calling thread may
-    drift_rows = NoiseStream._drift_rows
-    extended_on = []
-
-    def recording(self, indices):
-        if len(self._drift) <= max(indices):
-            extended_on.append(threading.current_thread())
-        return drift_rows(self, indices)
-
-    monkeypatch.setattr(NoiseStream, "_drift_rows", recording)
-    device = PRESET_DEVICES[1]
-    n = 4 * _NOISE_CHUNK
-    stream = NoiseStream(5, device.layout.mode_count)
-    with noise_workers(2):
-        measure_batch(device, random_challenges(5, device.layout.mzi_count, n), stream,
-                      np.arange(n))
-    assert extended_on == [threading.current_thread()]
-
-
-@pytest.mark.parametrize("failing, raised", [
-    ((4 * _NOISE_CHUNK - 1,), 4 * _NOISE_CHUNK - 1),  # in the last chunk
-    ((1, 4 * _NOISE_CHUNK - 1), 1),  # the first chunk fails too, and wins
-])
-def test_noise_pass_error_reaches_the_caller(monkeypatch, failing, raised):
-    # seeding a failing index's substream raises, on whichever worker claims it
-    device = PRESET_DEVICES[1]
-    n = 4 * _NOISE_CHUNK
-    doomed = {seed_words((3,), index).tobytes(): index for index in failing}
-
-    class FailingWords(fabrication._SeedWords):
-        def generate_state(self, n_words, dtype=np.uint32):
-            index = doomed.get(self.words.tobytes())
-            if index is not None:
-                raise RuntimeError(f"no substream for {index}")
-            return super().generate_state(n_words, dtype)
-
-    monkeypatch.setattr(fabrication, "_SeedWords", FailingWords)
-    stream = NoiseStream(3, device.layout.mode_count)
-    threads = threading.active_count()
-    with noise_workers(2), pytest.raises(RuntimeError, match=f"no substream for {raised}$"):
-        measure_batch(device, random_challenges(3, device.layout.mzi_count, n), stream,
-                      np.arange(n))
-    assert threading.active_count() == threads
-
-
 def test_one_noise_chunk_starts_no_thread(monkeypatch):
+    # nor does a batch of many chunks: the noise pass runs on the caller
     def no_thread(*args, **kwargs):
         raise AssertionError("started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     device = PRESET_DEVICES[1]
-    challenges = random_challenges(4, device.layout.mzi_count, _NOISE_CHUNK)
     stream = NoiseStream(4, device.layout.mode_count)
-    with noise_workers(2):
-        single = measure(device, challenges[0], stream, 5)
-        batch = measure_batch(device, challenges, stream, np.arange(_NOISE_CHUNK) + 5)
-        repeats = measure_batch(device, challenges[:1], stream, [np.arange(_NOISE_CHUNK) + 5])
+    n = 3 * chunk_rows(stream) + 1
+    challenges = random_challenges(4, device.layout.mzi_count, n)
+    threads = threading.active_count()
+    single = measure(device, challenges[0], stream, 5)
+    batch = measure_batch(device, challenges, stream, np.arange(n) + 5)
+    repeats = measure_batch(device, challenges[:1], stream, [np.arange(n) + 5])
+    assert threading.active_count() == threads
     assert np.array_equal(batch[0], single.intensities)
     assert np.array_equal(repeats[0, 0], single.intensities)
 
 
-def test_a_late_noise_thread_leaves_its_chunks_to_the_caller(monkeypatch):
-    # a thread that runs only once it is joined: by then the caller has
-    # claimed and sampled every chunk, in order, so the batch never waits on it
-    joined = []
-
-    class Late(threading.Thread):
-        def start(self):
-            pass
-
-        def join(self, timeout=None):
-            joined.append(self)
-            self.run()
-
-    device = PRESET_DEVICES[1]
-    n = 4 * _NOISE_CHUNK
-    # each chunk is known by its first row's substream, before any draw
-    stream = NoiseStream(8, device.layout.mode_count)
-    first_rows = {substream_state(stream.measurement_rng(row)): row
-                  for row in range(0, n, _NOISE_CHUNK)}
-    sampled = []
-    noisy_block = fabrication._noisy_block
-
-    def recording(cfg, rngs, drift, out):
-        sampled.append((first_rows.get(substream_state(rngs[0])), bool(joined)))
-        noisy_block(cfg, rngs, drift, out)
-
-    challenges = random_challenges(8, device.layout.mzi_count, n)
-    with noise_workers(1):
-        expected = measure_batch(device, challenges, NoiseStream(8, device.layout.mode_count),
-                                 np.arange(n))
-    monkeypatch.setattr(threading, "Thread", Late)
-    monkeypatch.setattr(fabrication, "_noisy_block", recording)
-    with noise_workers(2):
-        batch = measure_batch(device, challenges, NoiseStream(8, device.layout.mode_count),
-                              np.arange(n))
-    assert np.array_equal(batch, expected)
-    assert len(joined) == 1
-    assert sampled == [(row, False) for row in range(0, n, _NOISE_CHUNK)]
+# indices of one to three 32-bit words: a window's Philox counter carries
+# into its second 64-bit word from 2**64 / 6 on, at 22 modes
+WORD_EDGES = (2**32 - 1, 2**32, 2**64 + 3)
 
 
-# indices of one to three 32-bit words, where numpy's split of an int changes
-WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**80), min_size=1, max_size=3),
-       indices=st.lists(st.sampled_from(WORD_EDGES) | st.integers(0, 2**70), min_size=1,
-                        max_size=20))
-@example(seed=[0], indices=list(WORD_EDGES))
-@example(seed=[2**32, 1, 2**64 + 3], indices=list(WORD_EDGES))
-def test_substream_words_equal_numpys_seed_sequence(seed, indices):
-    # the entropy runs from 3 to 13 words: shorter than the pool, padded
-    # with zeros, and longer, mixed in after it; one batch may mix lengths
-    expected = [seed_words(seed, index) for index in indices]
-    assert np.array_equal(fabrication._substream_words(tuple(seed), indices), expected)
-    # an integer array is split by numpy's integer arithmetic, a list with
-    # ints past 2**63 by Python's
-    in_range = [index for index in indices if index < 2**64]
-    if in_range:
-        assert np.array_equal(
-            fabrication._substream_words(tuple(seed), np.array(in_range, dtype=np.uint64)),
-            [seed_words(seed, index) for index in in_range])
-
-
-@pytest.mark.parametrize("seed, index", [((-1,), 0), ((3, -2), 0), ((3,), -1)])
-def test_substream_words_refuse_negative_ints(seed, index):
-    with pytest.raises(ValueError, match="must be >= 0, got -"):
-        fabrication._substream_words(seed, [5, index])
+@settings(max_examples=40, deadline=None)
+@given(device=st.sampled_from(PRESET_DEVICES), drift=st.booleans(),
+       samples=st.sampled_from((5, 1000)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@example(device=PRESET_DEVICES[1], drift=False, samples=1000, data=None, seed=3)
+def test_a_batch_row_equals_a_lone_measure(device, drift, samples, data, seed):
+    # indices in any order, repeated, and past 2**64 where the drift is
+    # frozen: the walk reaches only indices it can sum up to
+    if data is None:
+        indices = [*WORD_EDGES, 2**32, 7, 2**32 - 1]
+    else:
+        small = st.integers(0, 300)
+        values = small if drift else st.sampled_from(WORD_EDGES) | small | st.integers(0, 2**62)
+        indices = data.draw(st.lists(values, min_size=1, max_size=12), label="indices")
+    config = NoiseConfig(samples_per_response=samples,
+                         coupling_drift_step=0.005 if drift else 0.0)
+    modes = device.layout.mode_count
+    challenges = random_challenges(seed, device.layout.mzi_count, len(indices))
+    batch = measure_batch(device, challenges, NoiseStream(seed, modes, config), indices)
+    lone = NoiseStream(seed, modes, config)
+    for row, ch, index in reversed(list(zip(batch, challenges, indices))):
+        assert np.array_equal(row, measure(device, ch, lone, index).intensities)
 
 
 @pytest.mark.parametrize("seed", [7, (2**32 + 5, 1), (2**64 + 1, 3, 2)])
-def test_multi_chunk_batch_seeds_each_row_as_measure_does(monkeypatch, seed):
-    # one- and multi-word seeds: entropy of 3, 5 and 7 words; every row's
-    # substream comes from the one words pass, none from measurement_rng
+def test_multi_chunk_batch_seeds_each_row_as_measure_does(seed):
+    # one- and multi-word seeds key the stream's Philox; every row of a
+    # batch of several chunks equals measure at its index
     device = PRESET_DEVICES[0]
-    n = 3 * _NOISE_CHUNK + 1
+    config = NoiseConfig(samples_per_response=5)
+    stream = NoiseStream(seed, device.layout.mode_count, config)
+    n = 3 * chunk_rows(stream) + 1
     challenges = random_challenges(5, device.layout.mzi_count, n)
     indices = np.arange(n)[::-1] * 3
-    config = NoiseConfig(samples_per_response=40)
-    expected = [measure(device, ch, NoiseStream(seed, device.layout.mode_count, config),
-                        int(index)).intensities for ch, index in zip(challenges, indices)]
-    words_calls = []
-    substream_words = fabrication._substream_words
-
-    def recording(*args):
-        words_calls.append(args)
-        return substream_words(*args)
-
-    def forbidden(self, index):
-        raise AssertionError("a batch row seeded through measurement_rng")
-
-    monkeypatch.setattr(fabrication, "_substream_words", recording)
-    monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
-    for workers in WORKER_COUNTS:
-        stream = NoiseStream(seed, device.layout.mode_count, config)
-        with noise_workers(workers):
-            batch = measure_batch(device, challenges, stream, indices)
-        assert np.array_equal(batch, expected)
-    assert len(words_calls) == len(WORKER_COUNTS)
+    batch = measure_batch(device, challenges, stream, indices)
+    lone = NoiseStream(seed, device.layout.mode_count, config)
+    for row, ch, index in zip(batch, challenges, indices.tolist()):
+        assert np.array_equal(row, measure(device, ch, lone, index).intensities)
 
 
-def test_a_lone_noise_chunk_seeds_through_measurement_rng(monkeypatch):
-    # every measure call, and any batch of up to two chunks: a few default_rng
-    # calls cost less than the words pass; the two-chunk batch still splits
-    # across two workers
-    def forbidden(*args):
-        raise AssertionError("a batch of at most two chunks took the words pass")
-
-    device = PRESET_DEVICES[1]
-    n = 2 * _NOISE_CHUNK
-    challenges = random_challenges(4, device.layout.mzi_count, n)
-    stream = NoiseStream(4, device.layout.mode_count)
-    with noise_workers(1):
-        expected = measure_batch(device, challenges + challenges[:1], stream, np.arange(n + 1))
-    monkeypatch.setattr(fabrication, "_substream_words", forbidden)
-    batch = measure_batch(device, challenges[:_NOISE_CHUNK], stream, np.arange(_NOISE_CHUNK))
-    assert np.array_equal(batch, expected[:_NOISE_CHUNK])
-    threads = threading.active_count()
-    with noise_workers(2):
-        pair = measure_batch(device, challenges, stream, np.arange(n))
-    assert threading.active_count() == threads
-    assert np.array_equal(pair, expected[:-1])
-    assert np.array_equal(measure(device, challenges[0], stream, 0).intensities, expected[0])
+SIMD_PROBE = """
+import hashlib, numpy as np
+from mzipuf.fabrication import NoiseConfig, NoiseStream, _noisy_block
+# ideal rows from exact float operations, a third of them near-dark and
+# an eighth so dark that a snapshot shows its normal's every bit
+rows = np.random.default_rng(5).random((1000, 22))
+for _ in range(3):
+    rows *= rows
+indices = list(range(0, 70000, 70))
+digest = hashlib.sha256()
+for samples in (1000, 1):
+    stream = NoiseStream(9, 22, NoiseConfig(samples_per_response=samples))
+    out = rows.copy()
+    _noisy_block(stream.config, stream._normals(indices), stream._drift_rows(indices), out)
+    digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
 
 
-# every worker count the noise pass can choose
-WORKER_COUNTS = sorted({1, _NOISE_WORKERS})
+def test_noisy_rows_do_not_depend_on_the_simd_dispatch():
+    # numpy's float64 log and exp give other bits under AVX-512 than without
+    # it; the noise pass takes them from math, so CI's no-SIMD list must
+    # give the bytes the host's dispatch gives.  The probe starts from fixed
+    # ideal rows: propagation's np.abs of its complex amplitudes rounds
+    # differently without AVX2, which the stored bins do not show
+    src = str(Path(mzipuf.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    digests = [
+        subprocess.run([sys.executable, "-c", SIMD_PROBE], env={**env, **dispatch},
+                       capture_output=True, text=True, check=True).stdout
+        for dispatch in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"})
+    ]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
-def peak_bytes(workers, *batch):
-    """Peak traced memory of measure_batch(*batch) on this many workers."""
+def peak_bytes(*batch):
+    """Peak traced memory of measure_batch(*batch)."""
     tracemalloc.start()
     try:
-        with noise_workers(workers):
-            measure_batch(*batch)
+        measure_batch(*batch)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_noisy_repeat_block_memory_is_bounded():
-    # large-pair's 1 x 500 repeat block at S = 1000: each worker holds one
-    # noise chunk's snapshot buffer at a time (0.44 MB in all on one
-    # worker, 0.79 MB on two; 1.3 MB on one at 32 a chunk)
+    # large-pair's 1 x 500 repeat block at S = 1000: the noise pass holds
+    # one chunk's windows and temporaries at a time
     device = PRESET_DEVICES[1]
     challenge = random_challenges(0, device.layout.mzi_count, 1)
     stream = NoiseStream((99, 1), device.layout.mode_count)
     measure_batch(device, challenge, stream, [[499]])  # the drift walk is not part of it
-    for workers in WORKER_COUNTS:
-        peak = peak_bytes(workers, device, challenge, stream, np.arange(500)[None, :])
-        assert peak < 1024 * 1024, workers
+    peak = peak_bytes(device, challenge, stream, np.arange(500)[None, :])
+    assert peak < 1024 * 1024
 
 
 def test_batch_position_invariance():
@@ -603,9 +464,8 @@ def test_measure_batch_memory_is_bounded():
     chip = fabricate_chip(1234, LARGE_PAIR.chip_spec())
     device = LARGE_PAIR.carve_pair(chip)[0]
     challenges = random_challenges(9, device.layout.mzi_count, 1000)
-    for workers in WORKER_COUNTS:
-        # a fresh stream: each run extends the drift walk from index 0
-        stream = NoiseStream((99, 1), device.layout.mode_count)
-        measure_batch(device, challenges[:1], stream, [0])
-        peak = peak_bytes(workers, device, challenges, stream, np.arange(1000))
-        assert peak < 2 * 1024 * 1024, workers
+    # a fresh stream: the run extends the drift walk from index 0
+    stream = NoiseStream((99, 1), device.layout.mode_count)
+    measure_batch(device, challenges[:1], stream, [0])
+    peak = peak_bytes(device, challenges, stream, np.arange(1000))
+    assert peak < 2 * 1024 * 1024

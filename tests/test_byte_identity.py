@@ -36,11 +36,11 @@ def sha256_of(path) -> str:
 
 @pytest.mark.parametrize("config, digest", [
     (small_pair_config(challenge_count=40, repeat_count=6),
-     "84f0f29970bcb9899e8f391a9fdb1d8d4457a49101e97e3020580cfffcafadcf"),
+     "5541291a114b007a1b622aa43c9d231c365a99fc20e3f07eee462b1647500841"),
     (small_pair_config(challenge_count=40, repeat_count=6, noise=NoiseConfig.disabled()),
      "8cce89645cb9bbd7f9af369dc62852af8ad30401370160bcb7807e2cafbe8fcd"),
     (large_pair_config(challenge_count=12, repeat_count=5),
-     "d33e48ac77e6da7ad44e8618964b757065b601d6602e662982569881fd8de556"),
+     "9cb651c25c53a124fbdd81f66ac3fb4f9a35ee29c48c2cd05cec47fda9fab82f"),
 ], ids=["small-pair-noisy", "small-pair-noiseless", "large-pair"])
 def test_experiment_manifest_is_pinned(tmp_path, config, digest):
     emit_artifacts(run_pair_experiment(config), tmp_path)
@@ -52,7 +52,7 @@ def test_enrolled_database_is_pinned(tmp_path):
     db = enroll(device, challenge_count=8, repeats_per_challenge=3, rng_seed=5)
     db.save(tmp_path / "crp.jsonl")
     assert sha256_of(tmp_path / "crp.jsonl") == (
-        "44e3baa34345a588a9f0e28f5db426714c895c4befd615921a12e026c28cab6c"
+        "c3e8fd0b5f78eaca96a2be13ea53ae0d9767b437e08a48850e9fd72aea59f713"
     )
 
 
@@ -86,7 +86,7 @@ def test_calibrated_database_with_an_issued_record_is_pinned(tmp_path):
     db.save(tmp_path / "crp.jsonl")
     assert sum(r.consumed for r in db.records.values()) == 1
     assert sha256_of(tmp_path / "crp.jsonl") == (
-        "f312ccb975b0a514954868a785ed1f756841a1edf5502a270167e64c781eb707"
+        "34db573c3fff42fa362fbc712433669a94c72e4b3ff6131b506b683a6d230ef9"
     )
 
 

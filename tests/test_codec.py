@@ -219,7 +219,7 @@ SCALARS = [
      lambda x: NoiseConfig(samples_per_response=x).samples_per_response, 10),
     ("seed", lambda x: NoiseStream(x, 4).seed[0], 5),
     ("mode_count", lambda x: NoiseStream(1, x).mode_count, 4),
-    ("measurement_index", lambda x: NoiseStream(1, 4).measurement_rng(x).random(), 3),
+    ("measurement_index", lambda x: NoiseStream(1, 4).drift_factors(x).tolist(), 3),
     ("looseness", lambda x: loose_hamming_distance(A, B, x), 2),
     ("looseness", lambda x: uniqueness([A, B], x), 2),
     ("looseness_max", lambda x: looseness_sweep([(A, B)], [(A, B)], x).looseness_values, 3),

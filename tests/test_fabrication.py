@@ -629,8 +629,8 @@ def test_negative_indices_are_rejected_before_any_work(noisy, monkeypatch):
         raise AssertionError("work done before the index check")
 
     monkeypatch.setattr(fabrication, "propagate", forbidden)
-    monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
-    monkeypatch.setattr(fabrication, "_substream_words", forbidden)
+    monkeypatch.setattr(NoiseStream, "_normals", forbidden)
+    monkeypatch.setattr(NoiseStream, "_drift_rows", forbidden)
     with pytest.raises(ValueError, match="measurement indices must be >= 0, got -5"):
         measure(device, challenges[0], stream, -5)
     with pytest.raises(ValueError, match="got -2"):
@@ -659,8 +659,8 @@ def test_non_finite_drive_voltages_are_rejected(volt, noisy, monkeypatch):
     def forbidden(*args):
         raise AssertionError("noise drawn before the voltage check")
 
-    monkeypatch.setattr(NoiseStream, "measurement_rng", forbidden)
-    monkeypatch.setattr(fabrication, "_substream_words", forbidden)
+    monkeypatch.setattr(NoiseStream, "_normals", forbidden)
+    monkeypatch.setattr(NoiseStream, "_drift_rows", forbidden)
     with pytest.raises(ValueError, match=message):
         measure_batch(device, voltages, stream, np.arange(len(voltages)))
 
@@ -698,40 +698,51 @@ def test_drift_walk_out_of_order_queries_agree():
         s1.drift_factors(-1)
 
 
-def reference_drift(seed, modes, config, count):
-    """The drift walk step by step in numpy, as it was first written: each
-    step is one normal per mode, and each position is reflected at +-bound
-    by np.mod and np.where."""
-    rng = np.random.default_rng((*seed, 1))
+def folded_free_walk(seed, modes, config, count):
+    """The drift as the fold of the free walk, summed step by step in one
+    cumsum: block k's steps are the normals of a generator on the Philox
+    keyed by (seed, 1), at counter k * 2**64."""
+    key = np.random.SeedSequence((*seed, 1)).generate_state(2, np.uint64)
+    steps = [
+        np.random.Generator(np.random.Philox(key=key, counter=k << 64)).standard_normal(
+            (fabrication._DRIFT_BLOCK, modes)) * config.coupling_drift_step
+        for k in range(-(-count // fabrication._DRIFT_BLOCK))
+    ]
+    walk = np.cumsum(np.vstack([np.zeros((1, modes)), *steps]), axis=0)[:count]
     bound = config.coupling_drift_bound
     period = 4.0 * bound
-    end = np.zeros(modes)
-    rows = [1.0 + end]
-    for _ in range(count - 1):
-        values = end + rng.normal(0.0, config.coupling_drift_step, modes)
-        if bound == 0.0:
-            end = np.zeros_like(values)
-        else:
-            folded = np.mod(values + bound, period)
-            end = np.where(folded > 2.0 * bound, period - folded, folded) - bound
-        rows.append(1.0 + end)
-    return np.array(rows)
+    folded = np.mod(walk + bound, period)
+    return np.where(folded > 2.0 * bound, period - folded, folded) - bound + 1.0
 
 
 @settings(max_examples=30, deadline=None)
-@given(step=st.sampled_from((0.0, 0.005)) | st.floats(0.0, 0.5),
-       bound=st.sampled_from((0.0, 0.05)) | st.floats(0.0, 2.0),
-       queries=st.lists(st.integers(0, 120), min_size=1, max_size=5))
-@example(step=0.3, bound=1e-3, queries=[120])
+@given(step=st.sampled_from((0.005,)) | st.floats(1e-6, 0.5),
+       bound=st.sampled_from((0.05,)) | st.floats(1e-6, 2.0),
+       queries=st.lists(st.integers(0, 300), min_size=1, max_size=5))
+@example(step=0.3, bound=1e-3, queries=[300])
 def test_drift_walk_equals_the_numpy_fold(step, bound, queries):
-    # the walk folds in Python floats, whose % rounds as np.mod does;
-    # extended in any order, to one index or many at once
+    # the fold of the free walk, bit for bit, whichever blocks are walked
+    # first: its checkpoints and the running sum within a block add the
+    # steps in the order one cumsum over the whole walk does
     config = NoiseConfig(coupling_drift_step=step, coupling_drift_bound=bound)
     stream = NoiseStream((4, 2), 5, config)
-    expected = reference_drift((4, 2), 5, config, 121)
+    expected = folded_free_walk((4, 2), 5, config, 301)
     for index in queries:
         assert np.array_equal(stream.drift_factors(index), expected[index])
-    assert np.array_equal(stream._drift_rows(list(range(121))), expected)
+    assert np.array_equal(stream._drift_rows(list(range(301))[::-1]), expected[::-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(frozen=st.sampled_from(("coupling_drift_step", "coupling_drift_bound")),
+       other=st.floats(0.0, 2.0), modes=st.integers(1, 8),
+       index=st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 + 3)) | st.integers(0, 2**70))
+def test_a_frozen_drift_is_exactly_one(frozen, other, modes, index):
+    # a zero step or a zero bound draws nothing, at any index
+    free = "coupling_drift_bound" if frozen == "coupling_drift_step" else "coupling_drift_step"
+    config = NoiseConfig(**{frozen: 0.0, free: other})
+    stream = NoiseStream(3, modes, config)
+    assert np.array_equal(stream.drift_factors(index), np.ones(modes))
+    assert stream._reached == 1
 
 
 def test_drift_walk_stays_bounded():
