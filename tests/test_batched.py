@@ -335,6 +335,39 @@ def test_one_noise_chunk_starts_no_thread(monkeypatch):
     assert np.array_equal(repeats[0, 0], single.intensities)
 
 
+@pytest.mark.parametrize("failing, raised", [
+    ((23,), 23),  # in the last chunk
+    ((1, 23), 1),  # the first chunk fails too, and wins
+])
+def test_noise_pass_error_reaches_the_caller(monkeypatch, failing, raised):
+    # drawing a failing index's window raises: chunks are sampled in order
+    # on the caller, so the first failing one's error reaches it, and the
+    # stream's walk and generators stay fit to measure with
+    device = PRESET_DEVICES[1]
+    modes = device.layout.mode_count
+    stream = NoiseStream(3, modes)
+    # four chunks of six rows
+    monkeypatch.setattr(fabrication, "_NOISE_WORDS", 6 * stream._window)
+    n = 24
+    challenges = random_challenges(3, device.layout.mzi_count, n)
+    normals = NoiseStream._normals
+
+    def failing_normals(self, indices):
+        doomed = [index for index in indices if index in failing]
+        if doomed:
+            raise RuntimeError(f"no window for {doomed[0]}")
+        return normals(self, indices)
+
+    monkeypatch.setattr(NoiseStream, "_normals", failing_normals)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"no window for {raised}$"):
+        measure_batch(device, challenges, stream, np.arange(n))
+    assert threading.active_count() == threads
+    monkeypatch.setattr(NoiseStream, "_normals", normals)
+    expected = measure_batch(device, challenges, NoiseStream(3, modes), np.arange(n))
+    assert np.array_equal(measure_batch(device, challenges, stream, np.arange(n)), expected)
+
+
 # indices of one to three 32-bit words: a window's Philox counter carries
 # into its second 64-bit word from 2**64 / 6 on, at 22 modes
 WORD_EDGES = (2**32 - 1, 2**32, 2**64 + 3)
