@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,27 +138,31 @@ def large_pair_config(**overrides) -> ExperimentConfig:
     return replace(base, **overrides)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
-    """Everything a pair run produced, including raw per-pair distances."""
+    """Everything a pair run produced, including raw per-pair distances.
+
+    Only a large-pair run has a sweep; others hold None, () and None there.
+    Every float in it is a Python float, which the CSVs write as it is.
+    """
 
     config: ExperimentConfig
-    device_digests: tuple[str, str] = ("", "")
-    shared_mzis: int = 0
-    collision_count: int = 0
-    uniqueness_by_looseness: dict = field(default_factory=dict)
-    inter_lhd: DistanceStats | None = None
-    inter_l2: DistanceStats | None = None
-    intra_lhd: DistanceStats | None = None
-    intra_l2: DistanceStats | None = None
-    separation_sigma: float | None = None
-    sweep: LoosenessSweep | None = None
-    sweep_separations: tuple = ()
-    optimal_looseness: int | None = None
-    challenge_set_digest: str = ""
+    device_digests: tuple[str, str]
+    shared_mzis: int
+    collision_count: int
+    uniqueness_by_looseness: dict
+    inter_lhd: DistanceStats
+    inter_l2: DistanceStats
+    intra_lhd: DistanceStats
+    intra_l2: DistanceStats
+    separation_sigma: float | None
+    sweep: LoosenessSweep | None
+    sweep_separations: tuple
+    optimal_looseness: int | None
+    challenge_set_digest: str
     # raw rows backing the CSV artifacts
-    inter_rows: tuple = ()  # (index, challenge_digest, lhd, l2)
-    intra_rows: tuple = ()  # (device, repeat_index, lhd, l2)
+    inter_rows: tuple  # (index, challenge_digest, lhd, l2)
+    intra_rows: tuple  # (device, repeat_index, lhd, l2)
 
 
 def _sweep_separations(sweep: LoosenessSweep):
@@ -242,14 +246,8 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         reference, *reps = _responses(repeats, config.bin_fraction)
         for k, rep in enumerate(reps, start=1):
             repeated_pairs.append((reference, rep))
-            intra_rows.append(
-                (
-                    label,
-                    k,
-                    loose_hamming_distance(reference, rep, headline),
-                    euclidean_distance(reference, rep),
-                )
-            )
+            intra_rows.append((label, k, loose_hamming_distance(reference, rep, headline),
+                               euclidean_distance(reference, rep)))
 
     inter_l2 = distance_stats([row[3] for row in inter_rows])
     inter_lhd = distance_stats([row[2] for row in inter_rows])
@@ -258,7 +256,14 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
     pooled = float(np.sqrt((inter_l2.std_dev**2 + intra_l2.std_dev**2) / 2.0))
     separation = (inter_l2.mean - intra_l2.mean) / pooled if pooled > 0 else None
 
-    report = ExperimentReport(
+    sweep, separations, optimal = None, (), None
+    if config.preset == "large-pair":
+        mirrored_pairs = zip(*(_responses(side, config.bin_fraction) for side in mirrored))
+        sweep = looseness_sweep(repeated_pairs, mirrored_pairs, config.looseness_max)
+        separations = _sweep_separations(sweep)
+        optimal = _optimal_looseness(sweep, separations)
+
+    return ExperimentReport(
         config=config,
         device_digests=(device_a.descriptor_digest(), device_b.descriptor_digest()),
         shared_mzis=shared_mzi_count(device_a, device_b),
@@ -269,26 +274,13 @@ def run_pair_experiment(config: ExperimentConfig) -> ExperimentReport:
         intra_lhd=intra_lhd,
         intra_l2=intra_l2,
         separation_sigma=separation,
-        challenge_set_digest=_digest_of_digests(digests),
+        sweep=sweep,
+        sweep_separations=separations,
+        optimal_looseness=optimal,
+        challenge_set_digest=hashlib.sha256("".join(digests).encode()).hexdigest(),
         inter_rows=inter_rows,
         intra_rows=tuple(intra_rows),
     )
-
-    if config.preset == "large-pair":
-        mirrored_pairs = zip(*(_responses(side, config.bin_fraction) for side in mirrored))
-        sweep = looseness_sweep(repeated_pairs, mirrored_pairs, config.looseness_max)
-        separations = _sweep_separations(sweep)
-        report.sweep = sweep
-        report.sweep_separations = separations
-        report.optimal_looseness = _optimal_looseness(sweep, separations)
-    return report
-
-
-def _digest_of_digests(digests) -> str:
-    rolled = hashlib.sha256()
-    for digest in digests:
-        rolled.update(digest.encode())
-    return rolled.hexdigest()
 
 
 def _csv_text(header, rows) -> str:
@@ -296,8 +288,10 @@ def _csv_text(header, rows) -> str:
 
     Each row is its fields' str joined by commas and ended by "\r\n", which
     is csv.writer's output whenever it has nothing to quote: every row has
-    at least two fields, and each field is an int (numpy ints too), the
-    repr of a float (inf and nan too), a hex digest, "A", "B" or "".
+    at least two fields, and each field is an int (numpy ints too), a
+    Python float or its repr (inf and nan too), a hex digest, "A", "B" or
+    "".  A Python float's str is its repr.  Numpy floats are left out: under
+    numpy 2 their repr is "np.float64(0.5)", not their str.
     """
     return "".join([",".join(map(str, row)) + "\r\n" for row in (header, *rows)])
 
@@ -344,44 +338,23 @@ def _artifact_texts(report: ExperimentReport):
     """(file name, text) of each artifact but the manifest, rendered one at a time."""
     yield "experiment_config.json", json_text(_config_payload(report.config))
     yield "inter_distances.csv", _csv_text(
-        ["challenge_index", "challenge_digest", "lhd", "l2"],
-        [(i, d, lhd, repr(l2)) for i, d, lhd, l2 in report.inter_rows],
-    )
+        ["challenge_index", "challenge_digest", "lhd", "l2"], report.inter_rows)
     yield "intra_distances.csv", _csv_text(
-        ["device", "repeat_index", "lhd", "l2"],
-        [(dev, k, lhd, repr(l2)) for dev, k, lhd, l2 in report.intra_rows],
-    )
+        ["device", "repeat_index", "lhd", "l2"], report.intra_rows)
     for name, stats in (
         ("hist_inter_lhd.csv", report.inter_lhd),
         ("hist_inter_l2.csv", report.inter_l2),
         ("hist_intra_lhd.csv", report.intra_lhd),
         ("hist_intra_l2.csv", report.intra_l2),
     ):
-        rows = (
-            [(repr(lo), repr(hi), count) for lo, hi, count in stats.histogram]
-            if stats is not None
-            else []
-        )
-        yield name, _csv_text(["bin_low", "bin_high", "count"], rows)
-    if report.sweep is not None:
+        yield name, _csv_text(["bin_low", "bin_high", "count"], stats.histogram)
+    sweep = report.sweep
+    if sweep is not None:
         yield "looseness_sweep.csv", _csv_text(
             ["looseness", "repeated_mean", "repeated_std", "random_mean",
              "random_std", "separation"],
-            [
-                (
-                    level,
-                    repr(rep.mean),
-                    repr(rep.std_dev),
-                    repr(rand.mean),
-                    repr(rand.std_dev),
-                    "" if sep is None else repr(sep),
-                )
-                for level, rep, rand, sep in zip(
-                    report.sweep.looseness_values,
-                    report.sweep.repeated,
-                    report.sweep.random,
-                    report.sweep_separations,
-                )
-            ],
+            [(level, rep.mean, rep.std_dev, rand.mean, rand.std_dev, "" if sep is None else sep)
+             for level, rep, rand, sep in zip(sweep.looseness_values, sweep.repeated,
+                                              sweep.random, report.sweep_separations)],
         )
     yield "summary.json", json_text(_summary_payload(report))

@@ -746,12 +746,12 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     """Averaged output power of many measurements.
 
     challenges is a sequence of N Challenges or voltage vectors, and
-    indices, of an integer dtype (or Python ints, which numpy holds as
-    objects past 2**64 - 1) and all >= 0, has shape (N,) or (N, R):
-    challenge i is measured at every measurement index of row i.  Returns
-    intensities of shape indices.shape + (modes,), where entry [i] (or
-    [i, r]) equals measure(device, challenges[i], noise, index).intensities
-    bit for bit.
+    indices, of an integer dtype (or Python ints, held as objects where no
+    numpy integer dtype holds them all) and all >= 0, has shape (N,) or
+    (N, R): challenge i is measured at every measurement index of row i.
+    Returns intensities of shape indices.shape + (modes,), where entry [i]
+    (or [i, r]) equals measure(device, challenges[i], noise,
+    index).intensities bit for bit.
 
     Two passes: challenges are propagated _BLOCK_MZI_ROWS MZI rows at a
     time, once each, their ideal intensities written to all R of their rows;
@@ -759,7 +759,12 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     max(1, _NOISE_WORDS // window) at a time, each from its index's window
     and drift, as measure does.  No thread is started.
     """
-    indices = np.asarray(indices)
+    given, indices = indices, np.asarray(indices)
+    if indices.dtype == float:
+        # numpy takes Python ints on both sides of 2**63 as floats
+        objects = np.array(given, dtype=object)
+        if all(type(i) is int for i in objects.flat):
+            indices = objects
     modes = device.layout.mode_count
     noisy = noise is not None and noise.config.enabled
     if noisy and noise.mode_count != modes:

@@ -307,4 +307,6 @@ def propagate(layout: MeshLayout, settings, couplers) -> np.ndarray:
     amps = np.zeros((len(coefficients), layout.mode_count), dtype=complex)
     amps[:, layout.input_mode] = 1.0
     _sweep(layout, coefficients, amps)
-    return (np.abs(amps) ** 2).reshape(lead + (layout.mode_count,))
+    # not np.abs(amps) ** 2: numpy's complex absolute rounds differently in
+    # its AVX2 and AVX-512 loops, while a sum of squares rounds the same
+    return (np.square(amps.real) + np.square(amps.imag)).reshape(lead + (layout.mode_count,))

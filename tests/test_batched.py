@@ -70,7 +70,7 @@ def reference_propagate(layout, settings_list, couplers):
         a, b = field_vec[top], field_vec[bottom]
         field_vec[top] = block[0, 0] * a + block[0, 1] * b
         field_vec[bottom] = block[1, 0] * a + block[1, 1] * b
-    return np.abs(field_vec) ** 2
+    return np.square(field_vec.real) + np.square(field_vec.imag)
 
 
 def reference_phases(device, volts):
@@ -384,7 +384,7 @@ def test_a_batch_row_equals_a_lone_measure(device, drift, samples, data, seed):
         indices = [*WORD_EDGES, 2**32, 7, 2**32 - 1]
     else:
         small = st.integers(0, 300)
-        values = small if drift else st.sampled_from(WORD_EDGES) | small | st.integers(0, 2**62)
+        values = small if drift else st.sampled_from(WORD_EDGES) | small | st.integers(0, 2**65)
         indices = data.draw(st.lists(values, min_size=1, max_size=12), label="indices")
     config = NoiseConfig(samples_per_response=samples,
                          coupling_drift_step=0.005 if drift else 0.0)
@@ -394,6 +394,30 @@ def test_a_batch_row_equals_a_lone_measure(device, drift, samples, data, seed):
     lone = NoiseStream(seed, modes, config)
     for row, ch, index in reversed(list(zip(batch, challenges, indices))):
         assert np.array_equal(row, measure(device, ch, lone, index).intensities)
+
+
+@pytest.mark.parametrize("indices", [[2**63, 1], [[5, 2**64 - 1], [2**63 + 9, 0]]])
+def test_python_ints_either_side_of_2_63_are_indices(indices):
+    # numpy makes such a list float64; measure_batch keeps the Python ints
+    device = PRESET_DEVICES[1]
+    config = NoiseConfig(coupling_drift_step=0.0)
+    modes = device.layout.mode_count
+    challenges = random_challenges(4, device.layout.mzi_count, len(indices))
+    batch = measure_batch(device, challenges, NoiseStream(4, modes, config), indices)
+    per_challenge = [row if isinstance(row, list) else [row] for row in indices]
+    for rows, ch, row_indices in zip(batch.reshape(len(indices), -1, modes), challenges,
+                                     per_challenge):
+        for row, index in zip(rows, row_indices, strict=True):
+            lone = measure(device, ch, NoiseStream(4, modes, config), index)
+            assert np.array_equal(row, lone.intensities)
+
+
+@pytest.mark.parametrize("indices", [[2**63, 1.0], [2**63, 0.5], [[2**63], [2.0]]])
+def test_a_float_beside_ints_past_2_63_is_still_refused(indices):
+    device = PRESET_DEVICES[1]
+    challenges = random_challenges(4, device.layout.mzi_count, len(indices))
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        measure_batch(device, challenges, None, indices)
 
 
 @pytest.mark.parametrize("seed", [7, (2**32 + 5, 1), (2**64 + 1, 3, 2)])
@@ -414,29 +438,26 @@ def test_multi_chunk_batch_seeds_each_row_as_measure_does(seed):
 
 SIMD_PROBE = """
 import hashlib, numpy as np
-from mzipuf.fabrication import NoiseConfig, NoiseStream, _noisy_block
-# ideal rows from exact float operations, a third of them near-dark and
-# an eighth so dark that a snapshot shows its normal's every bit
-rows = np.random.default_rng(5).random((1000, 22))
-for _ in range(3):
-    rows *= rows
-indices = list(range(0, 70000, 70))
-digest = hashlib.sha256()
+from mzipuf.fabrication import (LARGE_PAIR, NoiseConfig, NoiseStream, _level_voltages,
+                                _random_levels, fabricate_chip, measure_batch)
+# 1000 propagated large-pair rows: a quarter of their modes are near-dark,
+# and one in twenty below a thousandth of the detector noise
+device = LARGE_PAIR.carve_pair(fabricate_chip(1234, LARGE_PAIR.chip_spec()))[0]
+volts = _level_voltages(_random_levels(np.random.default_rng(5), 1000, device.layout.mzi_count))
+indices = np.arange(0, 70000, 70)
+digest = hashlib.sha256(measure_batch(device, volts, None, indices).tobytes())
 for samples in (1000, 1):
     stream = NoiseStream(9, 22, NoiseConfig(samples_per_response=samples))
-    out = rows.copy()
-    _noisy_block(stream.config, stream._normals(indices), stream._drift_rows(indices), out)
-    digest.update(out.tobytes())
+    digest.update(measure_batch(device, volts, stream, indices).tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_noisy_rows_do_not_depend_on_the_simd_dispatch():
-    # numpy's float64 log and exp give other bits under AVX-512 than without
-    # it; the noise pass takes them from math, so CI's no-SIMD list must
-    # give the bytes the host's dispatch gives.  The probe starts from fixed
-    # ideal rows: propagation's np.abs of its complex amplitudes rounds
-    # differently without AVX2, which the stored bins do not show
+    # numpy's complex absolute gives other bits under AVX2 or AVX-512 than
+    # without, and its float64 log and exp under AVX-512; propagation sums
+    # squares and the noise pass takes log and exp from math, so CI's
+    # no-SIMD list must give the bytes, ideal and noisy, the host's gives
     src = str(Path(mzipuf.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
