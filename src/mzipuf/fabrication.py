@@ -724,6 +724,11 @@ def _noisy_block(cfg: NoiseConfig, normals: np.ndarray, drift: np.ndarray,
         snapshots += mean.reshape(-1, 1)
         np.maximum(snapshots, 0.0, out=snapshots)
         out[:] = (np.add.reduce(snapshots, axis=1) / samples).reshape(out.shape)
+        if cfg.detector_sigma == 0.0:
+            # a noiseless mode's S equal snapshots average to max(mu, 0)
+            # exactly; their rounded sum over S may miss it by an ulp
+            still = sigma == 0.0
+            out[still] = np.maximum(mean[still], 0.0)
         return
     np.multiply(normals, sigma / math.sqrt(samples), out=out)
     out += mean

@@ -243,6 +243,9 @@ ideal_vectors = st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_siz
 @example(ideal=[0.0, 1e-7, 0.5], cfg=NoiseConfig(detector_sigma=0.0), index=3)
 @example(ideal=[0.0, 1e-7, 0.5],
          cfg=NoiseConfig(detector_sigma=0.0, coupling_jitter_sigma=0.0), index=7)
+@example(ideal=[0.23599900489322861],
+         cfg=NoiseConfig(detector_sigma=0.0, coupling_jitter_sigma=0.0, coupling_drift_step=0.0,
+                         coupling_drift_bound=0.0, samples_per_response=3), index=0)
 def test_noisy_means_are_finite_and_non_negative(ideal, cfg, index):
     ideal = np.array(ideal)
     stream = NoiseStream(index, len(ideal), cfg)
