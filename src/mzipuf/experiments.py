@@ -44,6 +44,7 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     LoosenessSweep,
+    _check_bin_fraction,
     _pair_differences,
     _quantize_rows,
     _responses,
@@ -95,8 +96,7 @@ class ExperimentConfig:
                              "so chip_seeds takes no adversary seed")
         if self.looseness_max < self.headline_looseness:
             raise ValueError("looseness_max must cover headline_looseness")
-        if not 0.0 < self.bin_fraction <= 1.0:
-            raise ValueError(f"bin_fraction must lie in (0, 1], got {self.bin_fraction}")
+        _check_bin_fraction(self.bin_fraction)
 
 
 def _config_payload(config: ExperimentConfig) -> dict:

@@ -765,10 +765,12 @@ def measure_batch(device: DeviceInstance, challenges, noise: NoiseStream | None,
     and drift, as measure does.  No thread is started.
     """
     given, indices = indices, np.asarray(indices)
-    if indices.dtype == float:
-        # numpy takes Python ints on both sides of 2**63 as floats
+    if indices.dtype.kind in "iuf" and not isinstance(given, np.ndarray):
+        # numpy takes a bool among ints as an int, and Python ints on both sides of 2**63 as floats
         objects = np.array(given, dtype=object)
-        if all(type(i) is int for i in objects.flat):
+        if bools := [i for i in objects.flat if isinstance(i, (bool, np.bool_))]:
+            raise ValueError(f"measurement indices must be integers, got {bools[0]}")
+        if indices.dtype == float and all(type(i) is int for i in objects.flat):
             indices = objects
     modes = device.layout.mode_count
     noisy = noise is not None and noise.config.enabled

@@ -26,6 +26,11 @@ class DegenerateResponseError(ValueError):
     """Raised when a response carries no power and cannot be quantized."""
 
 
+def _check_bin_fraction(bin_fraction) -> None:
+    if not 0.0 < bin_fraction <= 1.0:
+        raise ValueError(f"bin_fraction must lie in (0, 1], got {bin_fraction}")
+
+
 @dataclass(frozen=True)
 class QuantizedResponse:
     """Integer bin vector of one measured response.
@@ -42,8 +47,7 @@ class QuantizedResponse:
         object.__setattr__(self, "bins", int_tuple(self.bins))
         if min(self.bins, default=0) < 0:
             raise ValueError("bins must be non-negative")
-        if not 0.0 < self.bin_fraction <= 1.0:
-            raise ValueError(f"bin_fraction must lie in (0, 1], got {self.bin_fraction}")
+        _check_bin_fraction(self.bin_fraction)
 
     def __len__(self) -> int:
         return len(self.bins)
@@ -80,8 +84,7 @@ def _quantize_rows(intensities, bin_fraction: float) -> np.ndarray:
     intensities = np.ascontiguousarray(intensities, dtype=float)
     if not np.isfinite(intensities).all():
         raise ValueError("intensities must be finite")
-    if not 0.0 < bin_fraction <= 1.0:
-        raise ValueError(f"bin_fraction must lie in (0, 1], got {bin_fraction}")
+    _check_bin_fraction(bin_fraction)
     if intensities.min() < 0.0:
         raise ValueError("intensities must be non-negative")
     totals = intensities.sum(axis=1)

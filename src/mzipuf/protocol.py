@@ -32,6 +32,7 @@ from .metrics import (
     DEFAULT_BIN_FRACTION,
     DistanceStats,
     QuantizedResponse,
+    _check_bin_fraction,
     _pair_differences,
     _quantize_rows,
     _responses,
@@ -135,6 +136,7 @@ class CrpDatabase:
     collision_pairs: int = 0
 
     def __post_init__(self):
+        _check_bin_fraction(self.bin_fraction)  # before enroll measures
         records, self.records = self.records, {}
         for record in records:
             self.add(record)
@@ -165,35 +167,35 @@ class CrpDatabase:
         encodes its line once, on the first save that writes it; issuing a
         challenge replaces its record with a new one, encoded anew.
         _codec.write_text writes the file, so a crash leaves the old one whole.
-        The text written and its lines are kept for the next load.
+        The text written and its records are kept for the next load.
         """
         global _kept
         header = _DbHeader(self.device_digest, self.bin_fraction, len(self.records),
                            self.collision_pairs, self.policy)
-        lines = [_to_json({"format": DB_FORMAT, **encode(header)})]
-        lines += [self.records[cid]._line for cid in sorted(self.records)]
-        text = "\n".join(lines) + "\n"
+        head = _to_json({"format": DB_FORMAT, **encode(header)})
+        header = _decode_header(head)  # as load reads it: an int l2_threshold as a float
+        records = [self.records[cid] for cid in sorted(self.records)]
+        text = "\n".join([head, *(record._line for record in records)]) + "\n"
         write_text(path, text)
-        # json escapes every character splitlines splits at, so these are its lines
-        _kept = text, lines, None
+        # load would read a subclass record, or another fraction's reference, as another value
+        exact = all(type(r) is CrpRecord and r.reference.bin_fraction == self.bin_fraction
+                    for r in records)
+        _kept = text, header if exact else None, records
 
     @classmethod
     def load(cls, path) -> "CrpDatabase":
         global _kept
         with open(path) as handle:
             text = handle.read()
-        kept_text, lines, decoded = _kept
-        if text != kept_text:
-            lines, decoded = [line for line in text.splitlines() if line.strip()], None
-        if not lines:
-            raise ValueError("empty database file")
-        if decoded is None:
+        kept_text, header, records = _kept
+        if text != kept_text or header is None:
+            lines = [line for line in text.splitlines() if line.strip()]
+            if not lines:
+                raise ValueError("empty database file")
             # one line parsed at a time: the parsed rows are garbage right after
-            header = decode(_DbHeader, check_format(_json_object(lines[0]), DB_FORMAT,
-                                                    "CRP database"))
-            decoded = header, _memo_records(lines[1:], header.bin_fraction)
-            _kept = text, lines, decoded
-        header, records = decoded
+            header = _decode_header(lines[0])
+            records = [_decode_row(line, header.bin_fraction) for line in lines[1:]]
+            _kept = text, header, records
         db = cls(header.device_digest, header.bin_fraction, records, header.policy,
                  header.collision_pairs)
         if len(db) != header.record_count:
@@ -222,6 +224,10 @@ def _decode_row(line: str, bin_fraction: float) -> CrpRecord:
                               "reference": reference})
 
 
+def _decode_header(line: str) -> "_DbHeader":
+    return decode(_DbHeader, check_format(_json_object(line), DB_FORMAT, "CRP database"))
+
+
 def _json_object(line: str) -> dict:
     value = json.loads(line)
     if not isinstance(value, dict):
@@ -239,26 +245,14 @@ class _DbHeader:
     collision_pairs: int
     policy: VerifyPolicy | None
 
+    def __post_init__(self):
+        _check_bin_fraction(self.bin_fraction)  # before load decodes a row
 
-# the rows of the last database file load decoded: the bin fraction, held
-# once, and each row line to the frozen record decoded from it, which load
-# hands out as it is; one file's rows bound the memo, and one tuple replaces
-# the fraction and the rows together
-_memo: tuple[float | None, dict[str, CrpRecord]] = (None, {})
 
 # the text of the database file this process last loaded or saved, its
-# non-blank lines and, once a load has decoded them, its header and records
-_kept: tuple[str, list[str], tuple[_DbHeader, list[CrpRecord]] | None] = ("", [], None)
-
-
-def _memo_records(lines, bin_fraction: float) -> list[CrpRecord]:
-    """The records of a file's row lines, decoding only lines the memo lacks."""
-    global _memo
-    fraction, held = _memo
-    held = held if fraction == bin_fraction else {}
-    rows = {line: held.get(line) or _decode_row(line, bin_fraction) for line in lines}
-    _memo = bin_fraction, rows
-    return [rows[line] for line in lines]
+# header and its records in file order, which load hands out as they are;
+# a None header makes the next load of that text decode it
+_kept: tuple[str, _DbHeader | None, list[CrpRecord]] = ("", None, [])
 
 
 def audit_collisions(db: CrpDatabase) -> CollisionReport:

@@ -420,6 +420,19 @@ def test_a_float_beside_ints_past_2_63_is_still_refused(indices):
         measure_batch(device, challenges, None, indices)
 
 
+@pytest.mark.parametrize("indices, flag", [
+    ([5, True], True), ([[5, True], [1, 2]], True), ((np.int64(3), np.True_), True),
+    ([2**63, False], False),
+])
+def test_a_bool_among_integer_indices_is_refused(indices, flag):
+    # numpy makes [5, True] an int64 array, which would measure index 1
+    device = PRESET_DEVICES[1]
+    challenges = random_challenges(4, device.layout.mzi_count, len(indices))
+    stream = NoiseStream(4, device.layout.mode_count)
+    with pytest.raises(ValueError, match=f"^measurement indices must be integers, got {flag}$"):
+        measure_batch(device, challenges, stream, indices)
+
+
 @pytest.mark.parametrize("seed", [7, (2**32 + 5, 1), (2**64 + 1, 3, 2)])
 def test_multi_chunk_batch_seeds_each_row_as_measure_does(seed):
     # one- and multi-word seeds key the stream's Philox; every row of a

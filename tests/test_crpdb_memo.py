@@ -1,9 +1,10 @@
-"""CrpDatabase.load/save with the row memo against an uncached oracle.
+"""CrpDatabase.load/save with the kept database against an uncached oracle.
 
 oracle_text and oracle_load are the per-row encode and decode that save
-and load ran before the memo, kept here as the reference: every file save
+and load ran before any cache, kept here as the reference: every file save
 writes must equal oracle_text byte for byte, and every database load
-returns must equal oracle_load's.
+returns must equal oracle_load's, whether it reuses the records this
+process last saved or loaded or decodes the file.
 """
 
 import dataclasses
@@ -231,7 +232,7 @@ def test_non_canonical_lines_load_like_the_oracle_and_save_canonically(tmp_path)
         edit_line(path, cid, edit)
     edited = path.read_text().splitlines()[1:4]
     assert all(line not in BASE_LINES for line in edited)
-    for _ in range(2):  # the second load takes them from the memo
+    for _ in range(2):  # the second load reuses the records the first decoded
         db = CrpDatabase.load(path)
         assert db == oracle_load(path) == BASE
     for _ in range(2):  # the second save knows they are not canonical
@@ -241,9 +242,8 @@ def test_non_canonical_lines_load_like_the_oracle_and_save_canonically(tmp_path)
         db = CrpDatabase.load(path)
 
 
-def test_a_load_decodes_each_row_once_and_encodes_none(tmp_path, monkeypatch):
+def test_a_load_decodes_only_what_this_process_did_not_save(tmp_path, monkeypatch):
     path = tmp_path / "db.jsonl"
-    BASE.save(path)
     decoded, encoded = [], []
 
     def counted(name, calls):
@@ -252,31 +252,33 @@ def test_a_load_decodes_each_row_once_and_encodes_none(tmp_path, monkeypatch):
 
     counted("_decode_row", decoded)
     counted("_row_line", encoded)
-    fresh = make_db(rng_seed=5)
-    fresh.save(path)  # a file none of whose lines the memo holds
-    encoded.clear()
-    db = CrpDatabase.load(path)
-    assert (len(decoded), len(encoded)) == (len(IDS), 0)
-    db.save(path)  # each row's line checked once, by the one encode save did before
-    assert (len(decoded), len(encoded)) == (len(IDS), len(IDS))
-    issue_challenge(CrpDatabase.load(path), np.random.default_rng(0))
-    db = CrpDatabase.load(path)
-    issue_challenge(db, np.random.default_rng(1))
+    # a load after this process's own save decodes no row
+    db = make_db(rng_seed=5)
     db.save(path)
-    assert (len(decoded), len(encoded)) == (len(IDS), len(IDS) + 1)
-    assert path.read_text() == oracle_text(db)
-
-
-def test_memo_holds_only_the_last_loaded_files_rows(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    BASE.save(a)
-    make_db(rng_seed=8, challenge_count=4).save(b)
-    CrpDatabase.load(a)
-    CrpDatabase.load(b)
-    rows = b.read_text().splitlines()[1:]
-    fraction, memo = protocol._memo
-    assert (fraction, sorted(memo)) == (BASE.bin_fraction, sorted(rows))
-    assert sorted(r.challenge_id for r in memo.values()) == [0, 1, 2, 3]
+    encoded.clear()
+    for seed in range(3):
+        db = CrpDatabase.load(path)
+        issue_challenge(db, np.random.default_rng(seed))
+        db.save(path)
+        assert CrpDatabase.load(path) == oracle_load(path) == db
+    assert (len(decoded), len(encoded)) == (0, 3)
+    # a file another writer wrote decodes each row once
+    path.write_text(oracle_text(make_db(rng_seed=6)))
+    for _ in range(2):
+        assert CrpDatabase.load(path) == oracle_load(path)
+    assert (len(decoded), len(encoded)) == (len(IDS), 3)
+    # a load would not give back a subclass record, or a reference binned at
+    # another fraction: after such a save the next load decodes every row
+    for how in ("subclass", "fraction"):
+        db = CrpDatabase.load(path)
+        if how == "subclass":
+            db.records[0] = REPLACEMENTS["subclass"](db.records[0])
+        else:
+            db.bin_fraction = 0.05
+        db.save(path)
+        decoded.clear()
+        assert CrpDatabase.load(path) == oracle_load(path) != db
+        assert len(decoded) == len(IDS)
 
 
 def rewrite_in_the_same_mtime(path, db) -> None:
@@ -319,21 +321,41 @@ def test_a_change_by_another_writer_is_always_seen(tmp_path):
     assert CrpDatabase.load(copy) == oracle_load(copy) == theirs
 
 
-def test_the_lines_save_keeps_are_the_lines_of_the_text_it_wrote(tmp_path):
+def test_save_keeps_the_text_it_wrote_and_its_records(tmp_path):
     # splitlines splits at each of these; the JSON encoder escapes them all
     digest = "a\u2028b\x85c\x1cd\re"
     db = dataclasses.replace(BASE, device_digest=digest, records=BASE.records.values())
-    db.records[0] = TaggedRecord(**{f.name: getattr(db.records[0], f.name)
-                                    for f in dataclasses.fields(CrpRecord)}, tag=digest)
     path = tmp_path / "db.jsonl"
     db.save(path)
-    text, lines, decoded = protocol._kept
+    text, header, records = protocol._kept
     assert text.encode() == path.read_bytes() == oracle_text(db).encode()
-    assert lines == [line for line in text.splitlines() if line.strip()]
-    assert decoded is None
+    assert len(text.splitlines()) == len(db) + 1
+    assert records == [db.records[cid] for cid in IDS]
     loaded = CrpDatabase.load(path)
-    assert loaded == oracle_load(path)
+    assert loaded == oracle_load(path) == db
+    assert loaded.device_digest == header.device_digest == digest
+    # a subclass record reads back as a CrpRecord, so save keeps no header
+    db.records[0] = TaggedRecord(**{f.name: getattr(db.records[0], f.name)
+                                    for f in dataclasses.fields(CrpRecord)}, tag=digest)
+    db.save(path)
+    text, header, records = protocol._kept
+    assert text.encode() == path.read_bytes() == oracle_text(db).encode()
+    assert header is None and records[0] is db.records[0]
+    loaded = CrpDatabase.load(path)
+    assert loaded == oracle_load(path) != db
     assert loaded.device_digest == digest
+
+
+def test_the_kept_header_is_the_one_load_decodes(tmp_path):
+    # an int l2_threshold is written as 3 and reads back as 3.0, which a
+    # later save writes as 3.0
+    db = dataclasses.replace(BASE, policy=VerifyPolicy(l2_threshold=3),
+                             records=BASE.records.values())
+    path = tmp_path / "db.jsonl"
+    db.save(path)
+    CrpDatabase.load(path).save(path)
+    assert path.read_text() == oracle_text(oracle_load(path))
+    assert '"l2_threshold": 3.0' in path.read_text()
 
 
 def test_save_failing_mid_write_keeps_the_old_file(tmp_path, monkeypatch):

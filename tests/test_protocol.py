@@ -143,6 +143,31 @@ def test_enroll_argument_validation():
         enroll(device, challenge_count=1, repeats_per_challenge=0)
 
 
+@pytest.mark.parametrize("bin_fraction", [0.0, 2.0, float("nan"), -0.1])
+def test_a_bad_bin_fraction_is_refused_before_enroll_measures(bin_fraction, monkeypatch):
+    message = re.escape(f"bin_fraction must lie in (0, 1], got {bin_fraction}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CrpDatabase("d", bin_fraction=bin_fraction)
+    calls = []
+    monkeypatch.setattr("mzipuf.protocol.measure_batch", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enroll(make_device(), 1000, 5, bin_fraction=bin_fraction)
+    assert calls == []
+
+
+@pytest.mark.parametrize("records", [0, 1])
+@pytest.mark.parametrize("bin_fraction", [0.0, 2.0, -0.1])
+def test_a_database_with_a_bad_bin_fraction_fails_to_load(tmp_path, records, bin_fraction):
+    path = tmp_path / "db.jsonl"
+    make_db([(1, 2)] * records).save(path)
+    header, *rows = path.read_text().splitlines()
+    header = {**json.loads(header), "bin_fraction": bin_fraction}
+    path.write_text("".join(line + "\n" for line in (json.dumps(header), *rows)))
+    message = re.escape(f"bin_fraction must lie in (0, 1], got {bin_fraction}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CrpDatabase.load(path)
+
+
 def test_audit_collisions_groups_identical_references():
     db = make_db([(1, 1), (1, 1), (2, 2), (3, 3), (3, 3), (3, 3)])
     report = audit_collisions(db)
